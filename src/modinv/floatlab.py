@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .core import DomainError, ModPair, OpCounts, InverseOutcome, ffim_exact_inverse
 
 MAX_EXACT_FLOAT = 1 << 53  # integers below this are exact in binary64
@@ -63,7 +61,12 @@ _CHUNK = 1 << 15
 
 def _float_scan(s_f: float, d_f: float, epsilon: float, cap: int):
     """First i in [1, cap] whose r = (i - s_f)/d_f is within epsilon of an
-    integer, evaluated elementwise in binary64. Returns (i, r) or None."""
+    integer, evaluated elementwise in binary64. Returns (i, r) or None.
+
+    The array library is imported here, not at module level, so that only
+    a float scan pays for loading it."""
+    import numpy as np
+
     start = 1
     while start <= cap:
         stop = min(start + _CHUNK, cap + 1)
@@ -225,14 +228,17 @@ def scan_failures(
     for pr in results:
         verdicts[pr.verdict] += 1
     by_k = sorted(results, key=lambda pr: pr.k_exact)
+    # Ten buckets split as np.array_split does: the first r hold q + 1
+    # results, the rest q; an empty bucket has no mean.
+    q, r = divmod(len(by_k), 10)
     deciles = []
-    for bucket in np.array_split(np.arange(len(by_k)), 10):
-        if bucket.size == 0:
-            deciles.append(None)
-        else:
-            deciles.append(
-                float(sum(by_k[int(j)].r_error for j in bucket) / bucket.size)
-            )
+    start = 0
+    for b in range(10):
+        bucket = by_k[start : start + q + (b < r)]
+        start += len(bucket)
+        deciles.append(
+            sum(pr.r_error for pr in bucket) / len(bucket) if bucket else None
+        )
     witnesses = tuple(
         {"e": str(pr.e), "n": str(pr.n), "k": str(pr.k_exact), "verdict": pr.verdict}
         for pr in results

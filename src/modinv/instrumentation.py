@@ -243,19 +243,13 @@ def knuth_expected_divisions(n: int) -> float:
     return 0.843 * math.log2(n) + 1.47
 
 
-def _cell(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)  # "9/4", integral values render as plain integers
-    return str(value)
-
-
 def render_trace(t: StepTrace, format: str = "table") -> str:
     """Deterministic textual rendering of a trace."""
     if format == "json":
         payload = {
             "algorithm": t.algorithm.value,
             "headers": list(t.headers),
-            "rows": [[_cell(v) for v in row] for row in t.rows],
+            "rows": [[str(v) for v in row] for row in t.rows],
             "d": str(t.final.d),
             "k": str(t.final.k),
             "iterations": t.final.iterations,
@@ -263,7 +257,7 @@ def render_trace(t: StepTrace, format: str = "table") -> str:
         return json.dumps(payload)
     if format != "table":
         raise DomainError(f"unknown trace format: {format!r}")
-    cells = [[_cell(v) for v in row] for row in t.rows]
+    cells = [[str(v) for v in row] for row in t.rows]
     widths = [len(h) for h in t.headers]
     for row in cells:
         for j, c in enumerate(row):

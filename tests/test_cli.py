@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modinv
 from modinv.cli import main, is_prime, parse_int, rsa_toy_keygen, run_exhaustive_validation
 from modinv.core import DomainError, NoInverseError
 
@@ -197,3 +202,45 @@ class TestHelpers:
         assert [n for n in range(2, 30) if is_prime(n)] == [
             2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
         ]
+
+
+# Runs in a fresh interpreter: imports modinv, runs each command of argv[1]
+# and checks that numpy is still unloaded, then runs the scan-float command
+# of argv[2], which must load it.
+STARTUP_CHILD = """
+import json, sys
+import modinv
+from modinv.cli import main
+assert "numpy" not in sys.modules, "import modinv loaded numpy"
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules, f"{argv[0]} loaded numpy"
+assert main(json.loads(sys.argv[2])) == 0, "scan-float"
+assert "numpy" in sys.modules, "scan-float ran without the float kernel"
+"""
+
+
+class TestStartup:
+    def test_only_scan_float_loads_numpy(self, tmp_path):
+        commands = [
+            ["inverse", "--e", "7", "--n", "60"],
+            ["trace", "--e", "7", "--n", "60", "--alg", "ffim_exact", "--format", "json"],
+            ["bench", "--bits", "10", "--samples", "5", "--seed", "7", "--reps", "1",
+             "--algs", "euclid", "--out", str(tmp_path / "r.csv")],
+            ["validate", "--n-max", "16"],
+            ["keygen-demo", "--p", "5", "--q", "11", "--e", "7"],
+        ]
+        scan = [
+            "scan-float", "--e-min", "3", "--e-max", "20", "--samples-per-e", "1",
+            "--n-bits", "24", "--epsilon", "1e-9", "--seed", "2",
+            "--out", str(tmp_path / "scan.json"),
+        ]
+        src = str(Path(modinv.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_CHILD, json.dumps(commands), json.dumps(scan)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "scan.json").read_text())["pairs"] > 0

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from modinv import floatlab
 from modinv import (
     ModPair,
     ffim_exact_inverse,
@@ -148,6 +150,28 @@ class TestScanFailures:
         report = scan_failures(5, 30, 3, 16, 1e-9, 2)
         assert report.pairs > 0
         assert len(report.decile_mean_r_error) == 10
+
+    @pytest.mark.parametrize("pairs", range(1, 26))
+    def test_deciles_match_array_split(self, pairs, monkeypatch):
+        # fewer than 10 pairs leaves empty (None) deciles; other counts
+        # split unevenly. Means must equal np.array_split's bit for bit.
+        probed = []
+
+        def recording_probe(p, epsilon):
+            probed.append(probe(p, epsilon))
+            return probed[-1]
+
+        monkeypatch.setattr(floatlab, "probe", recording_probe)
+        report = scan_failures(1000, 999 + pairs, 1, 48, 1e-9, pairs)
+        assert report.pairs == pairs
+        by_k = sorted(sorted(probed, key=lambda pr: (pr.e, pr.n)), key=lambda pr: pr.k_exact)
+        expected = tuple(
+            float(sum(by_k[int(j)].r_error for j in bucket) / bucket.size)
+            if bucket.size
+            else None
+            for bucket in np.array_split(np.arange(len(by_k)), 10)
+        )
+        assert report.decile_mean_r_error == expected
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(DomainError):
