@@ -4,12 +4,18 @@ All functions operate on Python's arbitrary-precision integers. Each
 algorithm returns an :class:`InverseOutcome` carrying the inverse, the
 Bezout-style witness, the iteration count, and per-operation tallies of
 its main loop.
+
+Each algorithm also takes an optional ``sink``, called with one row per
+loop pass (after a row for the initial state in Euclid, Stein and Gordon)
+laid out as its ``*_HEADERS``; the closed-form scan shortcuts call no sink.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -124,35 +130,49 @@ def _outcome(p: ModPair, d_raw: int, iterations: int, ops: OpCounts) -> InverseO
     return InverseOutcome(d=d, k=(p.e * d - 1) // p.n, iterations=iterations, ops=ops)
 
 
-def sequential_inverse(p: ModPair) -> InverseOutcome:
+RowSink = Callable[[tuple], object]
+
+SEQUENTIAL_HEADERS = ("d", "e_d_mod_n")
+
+
+def sequential_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     """Trivial search: try d = 1, 2, 3, ... until e*d is 1 modulo n."""
     e, n = p.e, p.n
-    d = 1
     m = e  # e*d mod n, maintained incrementally
-    while m != 1:
-        d += 1
+    for d in range(1, n):
+        if sink is not None:
+            sink((d, m))
+        if m == 1:
+            break
         m += e
         if m >= n:
             m -= n
-        if d >= n:
-            raise InternalConsistencyError("sequential scan passed n - 1 candidates")
+    else:
+        raise InternalConsistencyError("sequential scan passed n - 1 candidates")
     # per candidate: one multiply (e*d), one reduction, one compare; d - 1
     # increments of the candidate itself
     ops = OpCounts(additions=d - 1, multiplications=d, divisions=d, comparisons=d)
     return _outcome(p, d, d, ops)
 
 
-def euclid_inverse(p: ModPair) -> InverseOutcome:
+EUCLID_HEADERS = ("g", "u", "i", "v", "q", "t")
+
+
+def euclid_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     """Extended Euclid: quotient/remainder steps with coefficient updates."""
     e, n = p.e, p.n
     g, u = n, e
     i, v = 0, 1
     its = 0
+    if sink is not None:
+        sink((g, u, i, v, 0, 0))
     while u > 0:
         q = g // u
         g, u = u, g - q * u
         i, v = v, i - q * v
         its += 1
+        if sink is not None:
+            sink((g, u, i, v, q, v))
     # per pass: one division for q, two multiplies, two subtractions, the
     # loop-guard comparison (plus the final failing test)
     ops = OpCounts(
@@ -164,7 +184,10 @@ def euclid_inverse(p: ModPair) -> InverseOutcome:
     return _outcome(p, i, its, ops)
 
 
-def stein_inverse(p: ModPair) -> InverseOutcome:
+STEIN_HEADERS = ("u1", "u2", "u3", "v1", "v2", "v3", "t1", "t2", "t3")
+
+
+def stein_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     """Binary extended gcd: halving, addition, subtraction, comparison only.
 
     Maintains u1*e + u2*n = u3 and v1*e + v2*n = v3; halving an even t3
@@ -179,6 +202,8 @@ def stein_inverse(p: ModPair) -> InverseOutcome:
         t1, t2, t3 = 0, -1, -n
     else:
         t1, t2, t3 = 1, 0, e
+    if sink is not None:
+        sink((u1, u2, u3, v1, v2, v3, t1, t2, t3))
     its = 0
     cap = 4 * (n.bit_length() + e.bit_length()) + 16
     while True:
@@ -214,6 +239,8 @@ def stein_inverse(p: ModPair) -> InverseOutcome:
             t2 -= e
             adds += 1
             subs += 1
+        if sink is not None:
+            sink((u1, u2, u3, v1, v2, v3, t1, t2, t3))
         cmps += 2  # sign fix test and the until test
         if t3 == 0:
             break
@@ -221,7 +248,10 @@ def stein_inverse(p: ModPair) -> InverseOutcome:
     return _outcome(p, u1, its, ops)
 
 
-def gordon_inverse(p: ModPair) -> InverseOutcome:
+GORDON_HEADERS = ("g", "u", "i", "v", "q")
+
+
+def gordon_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     """Euclid variant with power-of-two quotients found by shifting.
 
     Each pass replaces the true quotient by the largest 2**s with
@@ -229,39 +259,38 @@ def gordon_inverse(p: ModPair) -> InverseOutcome:
     swap). The loop uses no multiplication and no division.
     """
     e, n = p.e, p.n
-    adds = subs = shifts = cmps = 0
     g, u = n, e
     i, v = 0, 1
-    its = 0
+    swaps = passes = doublings = 0
+    if sink is not None:
+        sink((g, u, i, v, 0))
     while u > 0:
-        cmps += 1
-        its += 1
         if u > g:
-            cmps += 1
+            swaps += 1
             g, u = u, g
             i, v = v, i
+            if sink is not None:
+                sink((g, u, i, v, 0))
             continue
-        cmps += 1
-        s = -1
-        t = u
-        while t <= g:
-            cmps += 1
-            s += 1
-            t <<= 1
-            shifts += 1
-            adds += 1
-        cmps += 1
-        t >>= 1  # back off the one overshoot: t = u << s
-        shifts += 1
-        t = g - t
-        subs += 1
-        g, u = u, t
+        s = g.bit_length() - u.bit_length()
+        if u << s > g:
+            s -= 1
+        passes += 1
+        doublings += s + 1
+        g, u = u, g - (u << s)
         i, v = v, i - (v << s)
-        shifts += 1
-        subs += 1
-    cmps += 1
-    ops = OpCounts(additions=adds, subtractions=subs, shifts=shifts, comparisons=cmps)
-    return _outcome(p, i, its, ops)
+        if sink is not None:
+            sink((g, u, i, v, 1 << s))
+    # tallies of a shift-and-compare search for s. Per swap: loop guard and
+    # u > g test. Per shifting pass: those two, s + 1 doublings (shift, add,
+    # compare), a failing compare, 2 shifts, 2 subtractions. One last guard.
+    ops = OpCounts(
+        additions=doublings,
+        subtractions=2 * passes,
+        shifts=doublings + 2 * passes,
+        comparisons=2 * swaps + 3 * passes + doublings + 1,
+    )
+    return _outcome(p, i, swaps + passes, ops)
 
 
 # Above this many scan steps the accumulator loops below switch to the
@@ -275,7 +304,10 @@ def _smallest_k(e: int, n: int) -> int:
     return -pow(n, -1, e) % e
 
 
-def baghdad_inverse(p: ModPair) -> InverseOutcome:
+BAGHDAD_HEADERS = ("d", "result")
+
+
+def baghdad_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     """Repeatedly add n to a running numerator until e divides it.
 
     The recurrence d = (d + n)/e only ever yields an integer at the final
@@ -283,9 +315,6 @@ def baghdad_inverse(p: ModPair) -> InverseOutcome:
     divisibility by e instead of testing a real number for integrality.
     """
     e, n = p.e, p.n
-    if e == 1:
-        # single pass: (1 + n)/1 is already an integer
-        return _outcome(p, n + 1, 1, OpCounts(additions=1, divisions=1, comparisons=1))
     if e > LITERAL_SCAN_LIMIT:
         k = _smallest_k(e, n)
         if k > LITERAL_SCAN_LIMIT:
@@ -296,21 +325,26 @@ def baghdad_inverse(p: ModPair) -> InverseOutcome:
                 OpCounts(additions=k, divisions=k, comparisons=k),
             )
     step = n % e
-    m = (1 + step) % e  # (1 + j*n) mod e at j = 1
-    k = 1
-    while m:
+    m = (1 + step) % e  # (1 + k*n) mod e
+    for k in range(1, e + 1):
+        if sink is not None:
+            sink((Fraction(1 + k * n, e), "fraction" if m else "integer"))
+        if not m:
+            break
         m += step
         if m >= e:
             m -= e
-        k += 1
-        if k > e:
-            raise InternalConsistencyError("numerator scan passed e steps")
+    else:
+        raise InternalConsistencyError("numerator scan passed e steps")
     # per pass: one addition of n, one division by e, one integrality test
     ops = OpCounts(additions=k, divisions=k, comparisons=k)
     return _outcome(p, (1 + k * n) // e, k, ops)
 
 
-def ffim_exact_inverse(p: ModPair) -> InverseOutcome:
+FFIM_EXACT_HEADERS = ("i", "s_f", "d_f", "r")
+
+
+def ffim_exact_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     """Fraction-integer scan in exact integer arithmetic.
 
     With a = (n+1) mod e and b = n mod e, finds the smallest i >= 1 such
@@ -318,10 +352,8 @@ def ffim_exact_inverse(p: ModPair) -> InverseOutcome:
     d = (n*(r+1) + 1)/e. The a = 0 case is already solved: d = (n+1)/e.
     """
     e, n = p.e, p.n
-    if e == 1:
-        return _outcome(p, 1, 0, OpCounts())
     a = (n + 1) % e
-    b = n % e  # nonzero: e > 1 and gcd(e, n) = 1
+    b = n % e  # nonzero unless e = 1, where a = 0 too
     if a == 0:
         return _outcome(p, (n + 1) // e, 0, OpCounts())
     i = None
@@ -332,15 +364,17 @@ def ffim_exact_inverse(p: ModPair) -> InverseOutcome:
             i = i_exact
     if i is None:
         step = e % b
-        m = (e - a) % b  # (i*e - a) mod b at i = 1
-        i = 1
-        while m:
+        m = (e - a) % b  # (i*e - a) mod b
+        for i in range(1, e + 1):
+            if sink is not None:
+                sink((i, Fraction(a, e), Fraction(b, e), Fraction(i * e - a, b)))
+            if not m:
+                break
             m += step
             if m >= b:
                 m -= b
-            i += 1
-            if i > e:
-                raise InternalConsistencyError("fraction-integer scan passed e steps")
+        else:
+            raise InternalConsistencyError("fraction-integer scan passed e steps")
     num = i * e - a
     if num % b:
         raise InternalConsistencyError("terminating index does not divide evenly")

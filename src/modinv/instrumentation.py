@@ -11,11 +11,10 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
+from . import core
 from .core import (
     DomainError,
-    InternalConsistencyError,
     InverseOutcome,
     ModPair,
     baghdad_inverse,
@@ -53,12 +52,6 @@ ALGORITHM_FUNCS = {
 
 EXACT_ALGORITHMS = tuple(ALGORITHM_FUNCS)
 
-# Algorithms whose worked tables carry an initialization row before the
-# first iteration row.
-ALGORITHMS_WITH_INIT_ROW = frozenset(
-    {AlgorithmId.EUCLID, AlgorithmId.STEIN, AlgorithmId.GORDON}
-)
-
 MAX_TRACE_ROWS = 10**6
 
 
@@ -74,138 +67,13 @@ class StepTrace:
     final: InverseOutcome
 
 
-class _RowSink:
-    def __init__(self):
-        self.rows = []
-
-    def add(self, row):
-        self.rows.append(tuple(row))
-        if len(self.rows) > MAX_TRACE_ROWS:
-            raise TraceTooLongError(
-                f"trace would exceed {MAX_TRACE_ROWS} rows; run untraced instead"
-            )
-
-
-def _trace_sequential(p: ModPair, sink: _RowSink) -> int:
-    e, n = p.e, p.n
-    d = 1
-    m = e
-    sink.add((d, m))
-    while m != 1:
-        d += 1
-        m += e
-        if m >= n:
-            m -= n
-        sink.add((d, m))
-    return d
-
-
-def _trace_euclid(p: ModPair, sink: _RowSink) -> int:
-    g, u = p.n, p.e
-    i, v = 0, 1
-    sink.add((g, u, i, v, 0, 0))
-    while u > 0:
-        q = g // u
-        t = i - q * v
-        g, u = u, g - q * u
-        i, v = v, t
-        sink.add((g, u, i, v, q, t))
-    return i % p.n
-
-
-def _trace_stein(p: ModPair, sink: _RowSink) -> int:
-    e, n = p.e, p.n
-    u1, u2, u3 = 1, 0, e
-    v1, v2, v3 = n, 1 - e, n
-    if e & 1:
-        t1, t2, t3 = 0, -1, -n
-    else:
-        t1, t2, t3 = 1, 0, e
-    sink.add((u1, u2, u3, v1, v2, v3, t1, t2, t3))
-    while True:
-        while t3 & 1 == 0:
-            t3 >>= 1
-            if t1 & 1 == 0 and t2 & 1 == 0:
-                t1 >>= 1
-                t2 >>= 1
-            else:
-                t1 = (t1 + n) >> 1
-                t2 = (t2 - e) >> 1
-        if t3 > 0:
-            u1, u2, u3 = t1, t2, t3
-        else:
-            v1, v2, v3 = n - t1, -(e + t2), -t3
-        t1, t2, t3 = u1 - v1, u2 - v2, u3 - v3
-        if t1 < 0:
-            t1 += n
-            t2 -= e
-        sink.add((u1, u2, u3, v1, v2, v3, t1, t2, t3))
-        if t3 == 0:
-            return u1 % n
-
-
-def _trace_gordon(p: ModPair, sink: _RowSink) -> int:
-    g, u = p.n, p.e
-    i, v = 0, 1
-    sink.add((g, u, i, v, 0))
-    while u > 0:
-        if u > g:
-            g, u = u, g
-            i, v = v, i
-            sink.add((g, u, i, v, 0))
-            continue
-        s = -1
-        t = u
-        while t <= g:
-            s += 1
-            t <<= 1
-        t >>= 1
-        g, u = u, g - t
-        i, v = v, i - (v << s)
-        sink.add((g, u, i, v, 1 << s))
-    return i % p.n
-
-
-def _trace_baghdad(p: ModPair, sink: _RowSink) -> int:
-    e, n = p.e, p.n
-    num = 1
-    while True:
-        num += n
-        if num % e == 0:
-            sink.add((Fraction(num, e), "integer"))
-            return (num // e) % n
-        sink.add((Fraction(num, e), "fraction"))
-
-
-def _trace_ffim(p: ModPair, sink: _RowSink) -> int:
-    e, n = p.e, p.n
-    if e == 1:
-        return 1
-    a = (n + 1) % e
-    b = n % e
-    if a == 0:
-        return ((n + 1) // e) % n
-    s_f = Fraction(a, e)
-    d_f = Fraction(b, e)
-    i = 1
-    while True:
-        r = Fraction(i * e - a, b)
-        sink.add((i, s_f, d_f, r))
-        if r.denominator == 1:
-            return ((n * (r.numerator + 1) + 1) // e) % n
-        i += 1
-
-
-_TRACERS = {
-    AlgorithmId.SEQUENTIAL: (("d", "e_d_mod_n"), _trace_sequential),
-    AlgorithmId.EUCLID: (("g", "u", "i", "v", "q", "t"), _trace_euclid),
-    AlgorithmId.STEIN: (
-        ("u1", "u2", "u3", "v1", "v2", "v3", "t1", "t2", "t3"),
-        _trace_stein,
-    ),
-    AlgorithmId.GORDON: (("g", "u", "i", "v", "q"), _trace_gordon),
-    AlgorithmId.BAGHDAD: (("d", "result"), _trace_baghdad),
-    AlgorithmId.FFIM_EXACT: (("i", "s_f", "d_f", "r"), _trace_ffim),
+_HEADERS = {
+    AlgorithmId.SEQUENTIAL: core.SEQUENTIAL_HEADERS,
+    AlgorithmId.EUCLID: core.EUCLID_HEADERS,
+    AlgorithmId.STEIN: core.STEIN_HEADERS,
+    AlgorithmId.GORDON: core.GORDON_HEADERS,
+    AlgorithmId.BAGHDAD: core.BAGHDAD_HEADERS,
+    AlgorithmId.FFIM_EXACT: core.FFIM_EXACT_HEADERS,
 }
 
 
@@ -213,27 +81,25 @@ def traced_inverse(alg: AlgorithmId, p: ModPair):
     """Run an algorithm with per-iteration recording.
 
     Returns (outcome, trace); the outcome is identical to the untraced
-    operation's.
+    operation's. Refuses with TraceTooLongError as soon as the run would
+    record more than MAX_TRACE_ROWS rows.
     """
-    if alg not in _TRACERS:
+    if alg not in ALGORITHM_FUNCS:
         raise DomainError(f"algorithm {alg} cannot be traced here")
-    outcome = ALGORITHM_FUNCS[alg](p)
-    expected_rows = outcome.iterations + (1 if alg in ALGORITHMS_WITH_INIT_ROW else 0)
-    if expected_rows > MAX_TRACE_ROWS:
-        raise TraceTooLongError(
-            f"trace of {alg} for (e={p.e}, n={p.n}) would have {expected_rows} rows"
-        )
-    headers, tracer = _TRACERS[alg]
-    sink = _RowSink()
-    d = tracer(p, sink)
-    if d != outcome.d or len(sink.rows) != expected_rows:
-        raise InternalConsistencyError(
-            f"traced run of {alg} diverged from the untraced result"
-        )
-    trace = StepTrace(
-        algorithm=alg, headers=headers, rows=tuple(sink.rows), final=outcome
-    )
-    return outcome, trace
+    refusal = f"trace of {alg} would exceed {MAX_TRACE_ROWS} rows; run untraced instead"
+    rows = []
+
+    def sink(row):
+        if len(rows) == MAX_TRACE_ROWS:
+            raise TraceTooLongError(refusal)
+        rows.append(row)
+
+    outcome = ALGORITHM_FUNCS[alg](p, sink)
+    # The closed-form path records no rows; it only runs past
+    # LITERAL_SCAN_LIMIT steps, which is more than MAX_TRACE_ROWS.
+    if outcome.iterations > len(rows):
+        raise TraceTooLongError(refusal)
+    return outcome, StepTrace(alg, _HEADERS[alg], tuple(rows), outcome)
 
 
 def knuth_expected_divisions(n: int) -> float:
@@ -270,7 +136,3 @@ def render_trace(t: StepTrace, format: str = "table") -> str:
     )
     return "\n".join(lines)
 
-
-def parse_trace_json(text: str) -> dict:
-    """Parse the JSON trace schema back into a plain dict."""
-    return json.loads(text)

@@ -79,6 +79,13 @@ class TestTrace:
         code, _, _ = run(capsys, "trace", "--e", "7", "--n", "60", "--alg", "ffim_float")
         assert code == 2
 
+    def test_oversized_trace_refused(self, capsys):
+        code, _, err = run(
+            capsys, "trace", "--alg", "sequential", "--e", "3", "--n", "3000000000001"
+        )
+        assert code == 2
+        assert "1000000 rows" in err
+
 
 class TestValidate:
     def test_includes_worked_example(self, capsys):

@@ -8,7 +8,6 @@ from modinv import AlgorithmId, make_pair, knuth_expected_divisions, render_trac
 from modinv.core import DomainError
 from modinv.instrumentation import (
     ALGORITHM_FUNCS,
-    ALGORITHMS_WITH_INIT_ROW,
     EXACT_ALGORITHMS,
     TraceTooLongError,
 )
@@ -37,7 +36,7 @@ class TestTracedInverse:
     @pytest.mark.parametrize("alg", EXACT_ALGORITHMS)
     def test_row_count_matches_iterations(self, alg):
         outcome, trace = traced_inverse(alg, make_pair(17, 29))
-        init = 1 if alg in ALGORITHMS_WITH_INIT_ROW else 0
+        init = 1 if alg in {AlgorithmId.EUCLID, AlgorithmId.STEIN, AlgorithmId.GORDON} else 0
         assert len(trace.rows) == outcome.iterations + init
 
     @pytest.mark.parametrize("alg", EXACT_ALGORITHMS)
@@ -80,10 +79,20 @@ class TestTracedInverse:
             traced_inverse(AlgorithmId.FFIM_FLOAT, make_pair(7, 60))
 
     def test_oversized_trace_refused(self):
-        # sequential inverse of (3, n) with d close to n exceeds the cap
-        n = 3 * 10**6 + 1
-        with pytest.raises(TraceTooLongError):
-            traced_inverse(AlgorithmId.SEQUENTIAL, make_pair(3, n))
+        # sequential inverse of (3, n) with d close to n exceeds the cap; at
+        # n = 3*10**12 + 1 an untraced scan would take about 2*10**12 steps,
+        # so the refusal must come from the row cap, not after the run.
+        # baghdad and ffim_exact at the large pair take the closed form.
+        large = make_pair(2**40 + 15, 2**61 - 1)
+        cases = [
+            (AlgorithmId.SEQUENTIAL, make_pair(3, 3 * 10**6 + 1)),
+            (AlgorithmId.SEQUENTIAL, make_pair(3, 3 * 10**12 + 1)),
+            (AlgorithmId.BAGHDAD, large),
+            (AlgorithmId.FFIM_EXACT, large),
+        ]
+        for alg, p in cases:
+            with pytest.raises(TraceTooLongError, match="1000000 rows"):
+                traced_inverse(alg, p)
 
 
 class TestKnuthModel:
