@@ -25,7 +25,6 @@ from .core import (
     ModPair,
     NoInverseError,
     euclid_inverse,
-    make_pair,
     sequential_inverse,
 )
 from .floatlab import failure_report_to_json, scan_failures
@@ -111,7 +110,7 @@ def rsa_toy_keygen(p: int, q: int, e: int):
         if not is_prime(value):
             raise DomainError(f"{value} is not prime")
     totient = (p - 1) * (q - 1)
-    d = euclid_inverse(make_pair(e, totient)).d
+    d = euclid_inverse(ModPair(e, totient)).d
     return p * q, e, d
 
 
@@ -123,7 +122,7 @@ def _selected_algorithms(arg) -> list:
 
 def _cmd_inverse(args) -> int:
     try:
-        p = make_pair(args.e, args.n)
+        p = ModPair(args.e, args.n)
     except NoInverseError as err:
         print(f"no inverse: gcd={err.common_divisor}")
         return 1
@@ -141,7 +140,7 @@ def _cmd_inverse(args) -> int:
 
 def _cmd_trace(args) -> int:
     try:
-        p = make_pair(args.e, args.n)
+        p = ModPair(args.e, args.n)
     except NoInverseError as err:
         print(f"no inverse: gcd={err.common_divisor}")
         return 1

@@ -36,6 +36,10 @@ class InternalConsistencyError(RuntimeError):
     """A provably unreachable iteration cap was exhausted."""
 
 
+class ScanBudgetError(DomainError):
+    """A literal scan was refused: it passed its step budget."""
+
+
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor of two nonnegative integers."""
     if a == 0 and b == 0:
@@ -66,11 +70,6 @@ class ModPair:
         if g != 1:
             raise NoInverseError(e, self.n, g)
         object.__setattr__(self, "e", e)
-
-
-def make_pair(e_raw: int, n: int) -> ModPair:
-    """Build a ModPair, reducing e_raw modulo n first."""
-    return ModPair(e_raw, n)
 
 
 @dataclass(frozen=True)
@@ -132,22 +131,56 @@ def _outcome(p: ModPair, d_raw: int, iterations: int, ops: OpCounts) -> InverseO
 
 RowSink = Callable[[tuple], object]
 
+# The scans test every candidate in order: the first SCAN_PREFIX in Python, so
+# short scans never load numpy, then SCAN_CHUNK at a time in int64 when every
+# value a chunk forms, all below (SCAN_CHUNK + 1) * mod, is below 2^63.
+SCAN_PREFIX = 1 << 12
+SCAN_CHUNK = 1 << 15
+
+
+def _scan(m: int, step: int, mod: int, cap: int, emit=None) -> int | None:
+    """First j in [1, cap] with m + (j - 1)*step = 0 modulo mod, or None;
+    needs 0 <= m, step < mod. An emit(j, residue) sees each candidate, in Python."""
+    prefix = cap
+    if cap > SCAN_PREFIX and emit is None and (SCAN_CHUNK + 1) * mod < 1 << 63:
+        prefix = SCAN_PREFIX
+    for j in range(1, prefix + 1):
+        if emit is not None:
+            emit(j, m)
+        if not m:
+            return j
+        m += step
+        if m >= mod:
+            m -= mod
+    if prefix == cap:
+        return None
+    import numpy as np
+    for start in range(prefix + 1, cap + 1, SCAN_CHUNK):  # m: residue at start
+        size = min(SCAN_CHUNK, cap + 1 - start)
+        x = np.arange(m, m + size * step, step, dtype=np.int64)
+        hit = x // mod * mod == x  # x % mod == 0; numpy floor-divides faster
+        if hit.any():
+            return start + int(hit.argmax())
+        m = (m + size * step) % mod
+    return None
+
+
 SEQUENTIAL_HEADERS = ("d", "e_d_mod_n")
+# sequential, the literal oracle, refuses with ScanBudgetError past this many
+# candidates rather than switch to a closed form. Above the tracer's row cap.
+SEQUENTIAL_BUDGET = 1 << 24
 
 
 def sequential_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     """Trivial search: try d = 1, 2, 3, ... until e*d is 1 modulo n."""
     e, n = p.e, p.n
-    m = e  # e*d mod n, maintained incrementally
-    for d in range(1, n):
-        if sink is not None:
-            sink((d, m))
-        if m == 1:
-            break
-        m += e
-        if m >= n:
-            m -= n
-    else:
+    emit = None if sink is None else lambda d, m: sink((d, (m + 1) % n))
+    d = _scan(e - 1, e, n, min(n - 1, SEQUENTIAL_BUDGET), emit)  # e*d - 1 mod n
+    if d is None and n - 1 > SEQUENTIAL_BUDGET:
+        raise ScanBudgetError(
+            f"sequential scan passed SEQUENTIAL_BUDGET = {SEQUENTIAL_BUDGET} steps"
+        )
+    if d is None:
         raise InternalConsistencyError("sequential scan passed n - 1 candidates")
     # per candidate: one multiply (e*d), one reduction, one compare; d - 1
     # increments of the candidate itself
@@ -315,27 +348,15 @@ def baghdad_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     divisibility by e instead of testing a real number for integrality.
     """
     e, n = p.e, p.n
-    if e > LITERAL_SCAN_LIMIT:
-        k = _smallest_k(e, n)
-        if k > LITERAL_SCAN_LIMIT:
-            return _outcome(
-                p,
-                (1 + k * n) // e,
-                k,
-                OpCounts(additions=k, divisions=k, comparisons=k),
-            )
-    step = n % e
-    m = (1 + step) % e  # (1 + k*n) mod e
-    for k in range(1, e + 1):
-        if sink is not None:
-            sink((Fraction(1 + k * n, e), "fraction" if m else "integer"))
-        if not m:
-            break
-        m += step
-        if m >= e:
-            m -= e
-    else:
-        raise InternalConsistencyError("numerator scan passed e steps")
+    k = _smallest_k(e, n) if e > LITERAL_SCAN_LIMIT else 0
+    if k <= LITERAL_SCAN_LIMIT:
+        step = n % e
+        emit = None if sink is None else lambda k, m: sink(
+            (Fraction(1 + k * n, e), "fraction" if m else "integer")
+        )
+        k = _scan((1 + step) % e, step, e, e, emit)  # (1 + k*n) mod e
+        if k is None:
+            raise InternalConsistencyError("numerator scan passed e steps")
     # per pass: one addition of n, one division by e, one integrality test
     ops = OpCounts(additions=k, divisions=k, comparisons=k)
     return _outcome(p, (1 + k * n) // e, k, ops)
@@ -363,17 +384,11 @@ def ffim_exact_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcom
         if i_exact > LITERAL_SCAN_LIMIT:
             i = i_exact
     if i is None:
-        step = e % b
-        m = (e - a) % b  # (i*e - a) mod b
-        for i in range(1, e + 1):
-            if sink is not None:
-                sink((i, Fraction(a, e), Fraction(b, e), Fraction(i * e - a, b)))
-            if not m:
-                break
-            m += step
-            if m >= b:
-                m -= b
-        else:
+        emit = None if sink is None else lambda i, m: sink(
+            (i, Fraction(a, e), Fraction(b, e), Fraction(i * e - a, b))
+        )
+        i = _scan((e - a) % b, e % b, b, e, emit)  # (i*e - a) mod b
+        if i is None:
             raise InternalConsistencyError("fraction-integer scan passed e steps")
     num = i * e - a
     if num % b:

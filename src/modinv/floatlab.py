@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import DomainError, ModPair, OpCounts, InverseOutcome, ffim_exact_inverse
+from .core import (
+    SCAN_CHUNK,
+    DomainError,
+    InverseOutcome,
+    ModPair,
+    OpCounts,
+    ffim_exact_inverse,
+)
 
 MAX_EXACT_FLOAT = 1 << 53  # integers below this are exact in binary64
 
@@ -56,9 +63,6 @@ def _check_float_domain(p: ModPair):
         raise DomainError(f"modulus must be below 2^53, got {p.n}")
 
 
-_CHUNK = 1 << 15
-
-
 def _float_scan(s_f: float, d_f: float, epsilon: float, cap: int):
     """First i in [1, cap] whose r = (i - s_f)/d_f is within epsilon of an
     integer, evaluated elementwise in binary64. Returns (i, r) or None.
@@ -69,7 +73,7 @@ def _float_scan(s_f: float, d_f: float, epsilon: float, cap: int):
 
     start = 1
     while start <= cap:
-        stop = min(start + _CHUNK, cap + 1)
+        stop = min(start + SCAN_CHUNK, cap + 1)
         idx = np.arange(start, stop, dtype=np.float64)
         r = (idx - s_f) / d_f
         hits = np.nonzero(np.abs(r - np.rint(r)) <= epsilon)[0]

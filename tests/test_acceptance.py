@@ -20,7 +20,6 @@ from modinv import (
     generate_workload,
     gordon_inverse,
     knuth_expected_divisions,
-    make_pair,
     run_benchmark,
     scan_failures,
     sequential_inverse,
@@ -46,7 +45,7 @@ def criterion(number, description):
 
 def test_criterion_1_running_example():
     with criterion(1, "all paths give 43 for (7, 60)"):
-        p = make_pair(7, 60)
+        p = ModPair(7, 60)
         for func in (
             sequential_inverse,
             euclid_inverse,
@@ -108,7 +107,7 @@ def test_criterion_4_knuth_division_model():
 
 def test_criterion_5_trace_fidelity():
     with criterion(5, "worked-table traces for (7, 60)"):
-        p = make_pair(7, 60)
+        p = ModPair(7, 60)
         _, euclid_trace = traced_inverse(AlgorithmId.EUCLID, p)
         assert [row[2] for row in euclid_trace.rows] == [0, 1, -8, 9, -17]
         _, baghdad_trace = traced_inverse(AlgorithmId.BAGHDAD, p)

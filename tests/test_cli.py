@@ -17,6 +17,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """Environment for a fresh interpreter that imports this checkout."""
+    src = str(Path(modinv.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestInverse:
     def test_all_algorithms_agree(self, capsys):
         code, out, _ = run(capsys, "inverse", "--e", "7", "--n", "60")
@@ -34,6 +42,17 @@ class TestInverse:
         code, out, _ = run(capsys, "inverse", "--e", "7", "--n", "60", "--alg", "stein")
         assert code == 0
         assert out.strip() == "stein: d=43 k=5 iterations=4"
+
+    def test_sequential_budget_refused(self):
+        # --alg all starts with sequential, whose d here is near 2^128: it
+        # refuses after SEQUENTIAL_BUDGET candidates instead of running on
+        proc = subprocess.run(
+            [sys.executable, "-m", "modinv.cli", "inverse", "--e", "65537",
+             "--n", "0xfffffffffffffffffffffffffffffff1"],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "SEQUENTIAL_BUDGET = 16777216" in proc.stderr
 
     def test_non_coprime(self, capsys):
         code, out, _ = run(capsys, "inverse", "--e", "6", "--n", "60")
@@ -231,6 +250,7 @@ class TestStartup:
     def test_only_scan_float_loads_numpy(self, tmp_path):
         commands = [
             ["inverse", "--e", "7", "--n", "60"],
+            ["inverse", "--e", "4094", "--n", "4095"],
             ["trace", "--e", "7", "--n", "60", "--alg", "ffim_exact", "--format", "json"],
             ["bench", "--bits", "10", "--samples", "5", "--seed", "7", "--reps", "1",
              "--algs", "euclid", "--out", str(tmp_path / "r.csv")],
@@ -242,12 +262,9 @@ class TestStartup:
             "--n-bits", "24", "--epsilon", "1e-9", "--seed", "2",
             "--out", str(tmp_path / "scan.json"),
         ]
-        src = str(Path(modinv.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", STARTUP_CHILD, json.dumps(commands), json.dumps(scan)],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=child_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "scan.json").read_text())["pairs"] > 0

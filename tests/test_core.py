@@ -9,7 +9,6 @@ from modinv import (
     ffim_exact_inverse,
     gcd,
     gordon_inverse,
-    make_pair,
     sequential_inverse,
     stein_inverse,
     verify_inverse,
@@ -56,144 +55,144 @@ class TestGcd:
 
 class TestMakePair:
     def test_plain(self):
-        p = make_pair(7, 60)
+        p = ModPair(7, 60)
         assert (p.e, p.n) == (7, 60)
 
     def test_reduces_modulo_n(self):
-        p = make_pair(67, 60)
+        p = ModPair(67, 60)
         assert (p.e, p.n) == (7, 60)
 
     def test_non_coprime_names_divisor(self):
         with pytest.raises(NoInverseError) as exc:
-            make_pair(6, 60)
+            ModPair(6, 60)
         assert exc.value.common_divisor == 6
 
     def test_zero_residue_rejected(self):
         with pytest.raises(DomainError):
-            make_pair(120, 60)
+            ModPair(120, 60)
 
     def test_small_modulus_rejected(self):
         with pytest.raises(DomainError):
-            make_pair(1, 1)
+            ModPair(1, 1)
 
 
 class TestSequential:
     def test_worked_example(self):
-        o = sequential_inverse(make_pair(7, 60))
+        o = sequential_inverse(ModPair(7, 60))
         assert o.d == 43
         assert o.iterations == 43
 
     def test_unit_operand(self):
-        o = sequential_inverse(make_pair(1, 10))
+        o = sequential_inverse(ModPair(1, 10))
         assert o.d == 1
         assert o.iterations == 1
 
     def test_against_oracle(self):
-        o = sequential_inverse(make_pair(3, 10))
+        o = sequential_inverse(ModPair(3, 10))
         assert o.d == brute_force_inverse(3, 10) == 7
         assert o.iterations == 7
 
 
 class TestEuclid:
     def test_worked_example(self):
-        o = euclid_inverse(make_pair(7, 60))
+        o = euclid_inverse(ModPair(7, 60))
         assert o.d == 43
         assert o.iterations == 4
         assert o.ops.divisions == 4
 
     def test_unit_operand(self):
-        assert euclid_inverse(make_pair(1, 10)).d == 1
+        assert euclid_inverse(ModPair(1, 10)).d == 1
 
     def test_against_oracle(self):
-        assert euclid_inverse(make_pair(3, 10)).d == 7
+        assert euclid_inverse(ModPair(3, 10)).d == 7
 
 
 class TestStein:
     def test_worked_example(self):
-        assert stein_inverse(make_pair(7, 60)).d == 43
+        assert stein_inverse(ModPair(7, 60)).d == 43
 
     def test_unit_operand(self):
-        assert stein_inverse(make_pair(1, 3)).d == 1
+        assert stein_inverse(ModPair(1, 3)).d == 1
 
     def test_against_oracle(self):
-        assert stein_inverse(make_pair(3, 10)).d == 7
+        assert stein_inverse(ModPair(3, 10)).d == 7
 
 
 class TestGordon:
     def test_worked_example(self):
-        assert gordon_inverse(make_pair(7, 60)).d == 43
+        assert gordon_inverse(ModPair(7, 60)).d == 43
 
     def test_unit_operand(self):
-        assert gordon_inverse(make_pair(1, 10)).d == 1
+        assert gordon_inverse(ModPair(1, 10)).d == 1
 
     def test_against_oracle(self):
-        assert gordon_inverse(make_pair(3, 10)).d == 7
+        assert gordon_inverse(ModPair(3, 10)).d == 7
 
     def test_no_multiply_or_divide(self):
-        ops = gordon_inverse(make_pair(7, 60)).ops
+        ops = gordon_inverse(ModPair(7, 60)).ops
         assert ops.multiplications == 0
         assert ops.divisions == 0
 
 
 class TestBaghdad:
     def test_worked_example(self):
-        o = baghdad_inverse(make_pair(7, 60))
+        o = baghdad_inverse(ModPair(7, 60))
         assert o.d == 43
         assert o.iterations == 5
 
     def test_unit_operand_normalized(self):
         # raw value n + 1 = 11 reduces to 1
-        o = baghdad_inverse(make_pair(1, 10))
+        o = baghdad_inverse(ModPair(1, 10))
         assert o.d == 1
         assert o.iterations == 1
 
     def test_against_hand_iteration(self):
         # 11/3 is not an integer, 21/3 = 7 is
-        o = baghdad_inverse(make_pair(3, 10))
+        o = baghdad_inverse(ModPair(3, 10))
         assert o.d == brute_force_inverse(3, 10) == 7
         assert o.iterations == 2
 
 
 class TestFfimExact:
     def test_worked_example(self):
-        o = ffim_exact_inverse(make_pair(7, 60))
+        o = ffim_exact_inverse(ModPair(7, 60))
         assert o.d == 43
         assert o.iterations == 3
         assert o.k == 5  # r = 4 at i = 3, k = r + 1
 
     def test_solved_at_start(self):
         # (13 + 1) mod 7 = 0, so d = 14/7 = 2 without entering the loop
-        o = ffim_exact_inverse(make_pair(7, 13))
+        o = ffim_exact_inverse(ModPair(7, 13))
         assert o.d == brute_force_inverse(7, 13) == 2
         assert o.iterations == 0
 
     def test_unit_operand(self):
-        assert ffim_exact_inverse(make_pair(1, 10)).d == 1
+        assert ffim_exact_inverse(ModPair(1, 10)).d == 1
 
 
 class TestVerifyAndWitness:
     def test_verify_true(self):
-        assert verify_inverse(make_pair(7, 60), 43)
-        assert verify_inverse(make_pair(3, 10), 7)  # 21 mod 10 = 1
+        assert verify_inverse(ModPair(7, 60), 43)
+        assert verify_inverse(ModPair(3, 10), 7)  # 21 mod 10 = 1
 
     def test_verify_false(self):
-        assert not verify_inverse(make_pair(7, 60), 42)
-        assert not verify_inverse(make_pair(7, 60), 0)
-        assert not verify_inverse(make_pair(7, 60), 103)
+        assert not verify_inverse(ModPair(7, 60), 42)
+        assert not verify_inverse(ModPair(7, 60), 0)
+        assert not verify_inverse(ModPair(7, 60), 103)
 
     def test_witness_values(self):
-        assert witness_k(make_pair(7, 60), 43) == 5  # (7*43 - 1)/60
-        assert witness_k(make_pair(1, 10), 1) == 0
-        assert witness_k(make_pair(3, 10), 7) == 2  # (21 - 1)/10
+        assert witness_k(ModPair(7, 60), 43) == 5  # (7*43 - 1)/60
+        assert witness_k(ModPair(1, 10), 1) == 0
+        assert witness_k(ModPair(3, 10), 7) == 2  # (21 - 1)/10
 
     def test_witness_rejects_non_inverse(self):
         with pytest.raises(DomainError):
-            witness_k(make_pair(7, 60), 42)
+            witness_k(ModPair(7, 60), 42)
 
 
 @pytest.mark.parametrize("func", ALL_EXACT)
 def test_outcome_contract_on_example(func):
-    p = make_pair(7, 60)
+    p = ModPair(7, 60)
     o = func(p)
     assert 1 <= o.d < p.n
     assert p.e * o.d == 1 + o.k * p.n
@@ -204,7 +203,7 @@ def test_large_operands():
     # 128-bit pair; cross-checked between structurally different algorithms
     n = (1 << 127) + 1
     e = (1 << 64) + 13
-    p = make_pair(e, n)
+    p = ModPair(e, n)
     d = euclid_inverse(p).d
     assert (e * d) % n == 1
     assert stein_inverse(p).d == d

@@ -9,7 +9,6 @@ from modinv import (
     ModPair,
     ffim_exact_inverse,
     ffim_float_inverse,
-    make_pair,
     probe,
     scan_failures,
     ulp_gap,
@@ -30,22 +29,22 @@ FAILURE_N = 2535179246073379
 
 class TestFloatInverse:
     def test_worked_example(self):
-        o = ffim_float_inverse(make_pair(7, 60), 1e-6)
+        o = ffim_float_inverse(ModPair(7, 60), 1e-6)
         assert o.d == 43
         assert o.iterations == 3
 
     def test_small_pair_exact(self):
-        o = ffim_float_inverse(make_pair(3, 10), 1e-6)
+        o = ffim_float_inverse(ModPair(3, 10), 1e-6)
         assert o.d == 7
 
     def test_solved_at_start_skips_loop(self):
-        o = ffim_float_inverse(make_pair(7, 13), 1e-300)
+        o = ffim_float_inverse(ModPair(7, 13), 1e-300)
         assert o.d == 2
         assert o.iterations == 0
 
     def test_unit_operand_rejected(self):
         with pytest.raises(DomainError):
-            ffim_float_inverse(make_pair(1, 10), 1e-6)
+            ffim_float_inverse(ModPair(1, 10), 1e-6)
 
     def test_oversized_modulus_rejected(self):
         with pytest.raises(DomainError):
@@ -53,37 +52,37 @@ class TestFloatInverse:
 
     def test_bad_epsilon_rejected(self):
         with pytest.raises(DomainError):
-            ffim_float_inverse(make_pair(7, 60), 0.0)
+            ffim_float_inverse(ModPair(7, 60), 0.0)
 
 
 class TestUlpGap:
     def test_non_dyadic_gaps_positive(self):
-        gap = ulp_gap(make_pair(7, 60))
+        gap = ulp_gap(ModPair(7, 60))
         assert gap.xi1 > 0
         assert gap.xi2 > 0
 
     def test_dyadic_gaps_zero(self):
-        gap = ulp_gap(make_pair(2, 5))
+        gap = ulp_gap(ModPair(2, 5))
         assert gap.xi1 == 0
         assert gap.xi2 == 0
 
     def test_dyadic_reciprocal_only(self):
-        gap = ulp_gap(make_pair(4, 9))
+        gap = ulp_gap(ModPair(4, 9))
         assert gap.xi1 == 0
 
     def test_gaps_are_exact_rationals(self):
-        gap = ulp_gap(make_pair(7, 60))
+        gap = ulp_gap(ModPair(7, 60))
         assert gap.xi1 == abs(Fraction(1 / 7) - Fraction(1, 7))
 
 
 class TestProbe:
     def test_worked_example_agrees(self):
-        pr = probe(make_pair(7, 60), 1e-6)
+        pr = probe(ModPair(7, 60), 1e-6)
         assert pr.verdict == VERDICT_AGREE
         assert pr.k_exact == 5
 
     def test_small_pair_tiny_error(self):
-        pr = probe(make_pair(3, 10), 1e-6)
+        pr = probe(ModPair(3, 10), 1e-6)
         assert pr.verdict == VERDICT_AGREE
         assert pr.k_exact == 2
         assert pr.r_error <= 1e-12

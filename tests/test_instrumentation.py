@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from modinv import AlgorithmId, make_pair, knuth_expected_divisions, render_trace, traced_inverse
-from modinv.core import DomainError
+from modinv import AlgorithmId, ModPair, knuth_expected_divisions, render_trace, traced_inverse
+from modinv.core import SCAN_PREFIX, DomainError
 from modinv.instrumentation import (
     ALGORITHM_FUNCS,
     EXACT_ALGORITHMS,
@@ -15,18 +15,18 @@ from modinv.instrumentation import (
 
 class TestTracedInverse:
     def test_euclid_coefficient_column(self):
-        _, trace = traced_inverse(AlgorithmId.EUCLID, make_pair(7, 60))
+        _, trace = traced_inverse(AlgorithmId.EUCLID, ModPair(7, 60))
         assert [row[2] for row in trace.rows] == [0, 1, -8, 9, -17]
         assert trace.rows[0] == (60, 7, 0, 1, 0, 0)
 
     def test_baghdad_row_count_and_final_marker(self):
-        _, trace = traced_inverse(AlgorithmId.BAGHDAD, make_pair(7, 60))
+        _, trace = traced_inverse(AlgorithmId.BAGHDAD, ModPair(7, 60))
         assert len(trace.rows) == 5
         assert all(row[1] == "fraction" for row in trace.rows[:-1])
         assert trace.rows[-1] == (Fraction(43), "integer")
 
     def test_ffim_exact_r_values(self):
-        _, trace = traced_inverse(AlgorithmId.FFIM_EXACT, make_pair(7, 60))
+        _, trace = traced_inverse(AlgorithmId.FFIM_EXACT, ModPair(7, 60))
         assert [row[3] for row in trace.rows] == [
             Fraction(1, 2),
             Fraction(9, 4),
@@ -35,7 +35,7 @@ class TestTracedInverse:
 
     @pytest.mark.parametrize("alg", EXACT_ALGORITHMS)
     def test_row_count_matches_iterations(self, alg):
-        outcome, trace = traced_inverse(alg, make_pair(17, 29))
+        outcome, trace = traced_inverse(alg, ModPair(17, 29))
         init = 1 if alg in {AlgorithmId.EUCLID, AlgorithmId.STEIN, AlgorithmId.GORDON} else 0
         assert len(trace.rows) == outcome.iterations + init
 
@@ -46,7 +46,7 @@ class TestTracedInverse:
             for e in range(1, n):
                 if math.gcd(e, n) != 1:
                     continue
-                p = make_pair(e, n)
+                p = ModPair(e, n)
                 untraced = ALGORITHM_FUNCS[alg](p)
                 outcome, trace = traced_inverse(alg, p)
                 assert outcome == untraced
@@ -55,7 +55,7 @@ class TestTracedInverse:
     def test_euclid_trace_replay(self):
         # each row must follow from the previous one under the division
         # step with coefficient update
-        _, trace = traced_inverse(AlgorithmId.EUCLID, make_pair(123, 4567))
+        _, trace = traced_inverse(AlgorithmId.EUCLID, ModPair(123, 4567))
         for prev, cur in zip(trace.rows, trace.rows[1:]):
             g, u, i, v, _, _ = prev
             q = g // u
@@ -63,7 +63,7 @@ class TestTracedInverse:
             assert cur == (u, g - q * u, v, t, q, t)
 
     def test_ffim_trace_replay(self):
-        _, trace = traced_inverse(AlgorithmId.FFIM_EXACT, make_pair(123, 4567))
+        _, trace = traced_inverse(AlgorithmId.FFIM_EXACT, ModPair(123, 4567))
         a = Fraction((4567 + 1) % 123, 123)
         b = Fraction(4567 % 123, 123)
         for idx, row in enumerate(trace.rows, start=1):
@@ -71,28 +71,45 @@ class TestTracedInverse:
         assert trace.rows[-1][3].denominator == 1
 
     def test_euclid_opcount_consistency(self):
-        outcome, trace = traced_inverse(AlgorithmId.EUCLID, make_pair(355, 613))
+        outcome, trace = traced_inverse(AlgorithmId.EUCLID, ModPair(355, 613))
         assert outcome.ops.divisions == len(trace.rows) - 1
 
     def test_float_algorithm_refused(self):
         with pytest.raises(DomainError):
-            traced_inverse(AlgorithmId.FFIM_FLOAT, make_pair(7, 60))
+            traced_inverse(AlgorithmId.FFIM_FLOAT, ModPair(7, 60))
 
     def test_oversized_trace_refused(self):
         # sequential inverse of (3, n) with d close to n exceeds the cap; at
         # n = 3*10**12 + 1 an untraced scan would take about 2*10**12 steps,
         # so the refusal must come from the row cap, not after the run.
         # baghdad and ffim_exact at the large pair take the closed form.
-        large = make_pair(2**40 + 15, 2**61 - 1)
+        large = ModPair(2**40 + 15, 2**61 - 1)
         cases = [
-            (AlgorithmId.SEQUENTIAL, make_pair(3, 3 * 10**6 + 1)),
-            (AlgorithmId.SEQUENTIAL, make_pair(3, 3 * 10**12 + 1)),
+            (AlgorithmId.SEQUENTIAL, ModPair(3, 3 * 10**6 + 1)),
+            (AlgorithmId.SEQUENTIAL, ModPair(3, 3 * 10**12 + 1)),
             (AlgorithmId.BAGHDAD, large),
             (AlgorithmId.FFIM_EXACT, large),
         ]
         for alg, p in cases:
             with pytest.raises(TraceTooLongError, match="1000000 rows"):
                 traced_inverse(alg, p)
+
+
+    def test_long_scans_match_untraced(self):
+        # Past SCAN_PREFIX steps an untraced scan runs the int64 kernel while
+        # a traced one stays in Python; both must give the same outcome.
+        q = 200003  # prime; each pair below stops at step 199999 or 200003
+        e = 3 * q + pow(199999, -1, q)  # ffim_exact: b = n mod e = q
+        cases = [
+            (AlgorithmId.SEQUENTIAL, ModPair(pow(q, -1, 10**6 + 3), 10**6 + 3)),
+            (AlgorithmId.BAGHDAD, ModPair(q, 7 * q + -pow(199999, -1, q) % q)),
+            (AlgorithmId.FFIM_EXACT, ModPair(e, 5 * e + q)),
+        ]
+        for alg, p in cases:
+            outcome, trace = traced_inverse(alg, p)
+            assert outcome == ALGORITHM_FUNCS[alg](p)
+            assert len(trace.rows) == outcome.iterations > SCAN_PREFIX
+            assert outcome.iterations in (199999, q)
 
 
 class TestKnuthModel:
@@ -112,14 +129,14 @@ class TestKnuthModel:
 
 class TestRenderTrace:
     def test_table_shape(self):
-        _, trace = traced_inverse(AlgorithmId.EUCLID, make_pair(7, 60))
+        _, trace = traced_inverse(AlgorithmId.EUCLID, ModPair(7, 60))
         text = render_trace(trace, "table")
         lines = text.splitlines()
         assert lines[0].split() == ["g", "u", "i", "v", "q", "t"]
         assert len(lines) == 1 + 5 + 1  # header, five rows, summary
 
     def test_json_round_trip(self):
-        _, trace = traced_inverse(AlgorithmId.FFIM_EXACT, make_pair(7, 60))
+        _, trace = traced_inverse(AlgorithmId.FFIM_EXACT, ModPair(7, 60))
         obj = json.loads(render_trace(trace, "json"))
         assert obj["algorithm"] == "ffim_exact"
         assert obj["headers"] == ["i", "s_f", "d_f", "r"]
@@ -133,11 +150,11 @@ class TestRenderTrace:
         assert obj["iterations"] == 3
 
     def test_json_matches_table_content(self):
-        _, trace = traced_inverse(AlgorithmId.BAGHDAD, make_pair(3, 10))
+        _, trace = traced_inverse(AlgorithmId.BAGHDAD, ModPair(3, 10))
         obj = json.loads(render_trace(trace, "json"))
         assert len(obj["rows"]) == 2  # 11/3 is not an integer, 21/3 is
 
     def test_unknown_format(self):
-        _, trace = traced_inverse(AlgorithmId.EUCLID, make_pair(7, 60))
+        _, trace = traced_inverse(AlgorithmId.EUCLID, ModPair(7, 60))
         with pytest.raises(DomainError):
             render_trace(trace, "yaml")

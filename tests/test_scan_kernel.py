@@ -1,0 +1,231 @@
+"""The shared residue scan behind sequential, baghdad and ffim_exact.
+
+Outcomes are compared with a frozen copy of the three literal loops as they
+were before the scans moved into one helper with a chunked int64 kernel:
+exhaustively for n <= 512, and on constructed pairs whose first hit lands at
+the end of the Python prefix, at each chunk boundary and at the cap, on both
+sides of the int64 guard, and with 2048-bit operands.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from modinv import ModPair, baghdad_inverse, ffim_exact_inverse, sequential_inverse
+from modinv.core import (
+    LITERAL_SCAN_LIMIT,
+    SCAN_CHUNK,
+    SCAN_PREFIX,
+    SEQUENTIAL_BUDGET,
+    DomainError,
+    InternalConsistencyError,
+    OpCounts,
+    ScanBudgetError,
+    _outcome,
+    _scan,
+    _smallest_k,
+)
+from modinv.instrumentation import MAX_TRACE_ROWS
+
+
+# ----------------------------------------------------------------------------
+# Frozen reference: the three literal loops before the shared scan.
+
+
+def frozen_sequential(p):
+    e, n = p.e, p.n
+    m = e
+    for d in range(1, n):
+        if m == 1:
+            break
+        m += e
+        if m >= n:
+            m -= n
+    else:
+        raise InternalConsistencyError("sequential scan passed n - 1 candidates")
+    ops = OpCounts(additions=d - 1, multiplications=d, divisions=d, comparisons=d)
+    return _outcome(p, d, d, ops)
+
+
+def frozen_baghdad(p):
+    e, n = p.e, p.n
+    if e > LITERAL_SCAN_LIMIT:
+        k = _smallest_k(e, n)
+        if k > LITERAL_SCAN_LIMIT:
+            ops = OpCounts(additions=k, divisions=k, comparisons=k)
+            return _outcome(p, (1 + k * n) // e, k, ops)
+    step = n % e
+    m = (1 + step) % e
+    for k in range(1, e + 1):
+        if not m:
+            break
+        m += step
+        if m >= e:
+            m -= e
+    else:
+        raise InternalConsistencyError("numerator scan passed e steps")
+    ops = OpCounts(additions=k, divisions=k, comparisons=k)
+    return _outcome(p, (1 + k * n) // e, k, ops)
+
+
+def frozen_ffim_exact(p):
+    e, n = p.e, p.n
+    a = (n + 1) % e
+    b = n % e
+    if a == 0:
+        return _outcome(p, (n + 1) // e, 0, OpCounts())
+    i = None
+    if e > LITERAL_SCAN_LIMIT:
+        k = _smallest_k(e, n)
+        i_exact = ((k - 1) * b + a) // e
+        if i_exact > LITERAL_SCAN_LIMIT:
+            i = i_exact
+    if i is None:
+        step = e % b
+        m = (e - a) % b
+        for i in range(1, e + 1):
+            if not m:
+                break
+            m += step
+            if m >= b:
+                m -= b
+        else:
+            raise InternalConsistencyError("fraction-integer scan passed e steps")
+    num = i * e - a
+    if num % b:
+        raise InternalConsistencyError("terminating index does not divide evenly")
+    d_num = n * (num // b + 1) + 1
+    if d_num % e:
+        raise InternalConsistencyError("closing formula numerator not divisible by e")
+    ops = OpCounts(additions=i, subtractions=i, divisions=i, comparisons=i)
+    return _outcome(p, d_num // e, i, ops)
+
+
+PAIRS = (
+    (sequential_inverse, frozen_sequential),
+    (baghdad_inverse, frozen_baghdad),
+    (ffim_exact_inverse, frozen_ffim_exact),
+)
+
+
+def assert_same(new, frozen, p, iterations=None):
+    outcome = new(p)
+    assert outcome == frozen(p), (new.__name__, p)
+    if iterations is not None:
+        assert outcome.iterations == iterations, (new.__name__, p)
+
+
+# ----------------------------------------------------------------------------
+# Pairs whose scan first hits at a chosen index j.
+
+
+def sequential_pair(j, n):
+    """d = j, so the scan stops at candidate j (needs gcd(j, n) = 1)."""
+    return ModPair(pow(j, -1, n), n)
+
+
+def baghdad_pair(j, e, t=7):
+    """k = j, so the numerator scan stops at step j (needs j < e)."""
+    return ModPair(e, e * t + -pow(j, -1, e) % e)
+
+
+def ffim_pair(j, b, t=3, s=5):
+    """b = n mod e and a = b + 1, so i*e = 1 (mod b) first at i = j < b."""
+    e = b * t + pow(j, -1, b)
+    return ModPair(e, e * s + b)
+
+
+# the first candidates the kernel tests, and both sides of each chunk edge
+EDGES = [SCAN_PREFIX - 1, SCAN_PREFIX, SCAN_PREFIX + 1]
+EDGES += [SCAN_PREFIX + c * SCAN_CHUNK + o for c in (1, 2) for o in (0, 1)]
+PRIME = 100003  # above every edge
+
+
+def test_exhaustive_small_moduli():
+    for n in range(2, 513):
+        for e in range(1, n):
+            if math.gcd(e, n) == 1:
+                p = ModPair(e, n)
+                for new, frozen in PAIRS:
+                    assert new(p) == frozen(p), (new.__name__, e, n)
+
+
+@pytest.mark.parametrize("j", EDGES + [PRIME - 2, PRIME - 1])
+def test_sequential_hits_at_edges(j):
+    assert_same(sequential_inverse, frozen_sequential, sequential_pair(j, PRIME), j)
+
+
+@pytest.mark.parametrize("j", EDGES + [PRIME - 1])
+def test_baghdad_hits_at_edges(j):
+    assert_same(baghdad_inverse, frozen_baghdad, baghdad_pair(j, PRIME), j)
+
+
+@pytest.mark.parametrize("j", EDGES + [PRIME - 1])
+def test_ffim_exact_hits_at_edges(j):
+    # the hit index is below b = n mod e; its largest value is b - 1
+    assert_same(ffim_exact_inverse, frozen_ffim_exact, ffim_pair(j, PRIME), j)
+
+
+def brute_scan(m, step, mod, cap):
+    return next((j for j in range(1, cap + 1) if (m + (j - 1) * step) % mod == 0), None)
+
+
+@pytest.mark.parametrize("j", EDGES + [PRIME - 3, PRIME - 2, PRIME - 1])
+@pytest.mark.parametrize("cap", [PRIME - 2, PRIME - 1])
+def test_scan_hit_and_miss_at_cap(j, cap):
+    step = 12345
+    m = -(j - 1) * step % PRIME  # residue 0 first at index j
+    assert _scan(m, step, PRIME, cap) == brute_scan(m, step, PRIME, cap)
+    assert _scan(m, step, PRIME, cap) == (j if j <= cap else None)
+
+
+GUARD = ((1 << 63) - 1) // (SCAN_CHUNK + 1)  # largest modulus the kernel takes
+
+
+def coprime_index(mod, start):
+    return next(j for j in range(start, start + 1000) if math.gcd(j, mod) == 1)
+
+
+@pytest.mark.parametrize("mod,kernel", [(GUARD, True), (GUARD + 1, False)])
+def test_int64_guard(monkeypatch, mod, kernel):
+    calls = []
+    arange = np.arange
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", counting)
+    j = coprime_index(mod, SCAN_PREFIX + SCAN_CHUNK + 1000)  # in the second chunk
+    assert_same(sequential_inverse, frozen_sequential, sequential_pair(j, mod), j)
+    assert_same(baghdad_inverse, frozen_baghdad, baghdad_pair(j, mod), j)
+    assert_same(ffim_exact_inverse, frozen_ffim_exact, ffim_pair(j, mod), j)
+    assert bool(calls) == kernel
+
+
+def test_literal_branch_with_2048_bit_operands():
+    rng = random.Random(2048)
+    for j in (1, SCAN_PREFIX + 1, SCAN_PREFIX + SCAN_CHUNK + 7, LITERAL_SCAN_LIMIT):
+        big = rng.getrandbits(2048) | (1 << 2047) | 1
+        while math.gcd(j, big) != 1:
+            big += 2
+        assert_same(baghdad_inverse, frozen_baghdad, baghdad_pair(j, big), j)
+        assert_same(ffim_exact_inverse, frozen_ffim_exact, ffim_pair(j, big), j)
+    for _ in range(20):  # random operands: the closed forms
+        n = rng.getrandbits(2048) | 1
+        e = rng.randrange(2, n)
+        if math.gcd(e, n) == 1:
+            for new, frozen in PAIRS[1:]:
+                assert_same(new, frozen, ModPair(e, n))
+
+
+def test_sequential_budget():
+    assert SEQUENTIAL_BUDGET > MAX_TRACE_ROWS
+    n = 3 * SEQUENTIAL_BUDGET + 1  # e = 3 gives d = 2*SEQUENTIAL_BUDGET + 1
+    with pytest.raises(ScanBudgetError, match="SEQUENTIAL_BUDGET") as refusal:
+        sequential_inverse(ModPair(3, n))
+    assert isinstance(refusal.value, DomainError)
+    n = SEQUENTIAL_BUDGET + 1  # d = SEQUENTIAL_BUDGET is still scanned
+    assert sequential_inverse(ModPair(n - 1, n)).iterations == SEQUENTIAL_BUDGET
