@@ -238,6 +238,13 @@ def stein_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     if sink is not None:
         sink((u1, u2, u3, v1, v2, v3, t1, t2, t3))
     its = 0
+    # The cap is unreachable: the loop makes at most e.bit_length() +
+    # n.bit_length() passes (Stein 1967; Knuth, TAOCP Vol. 2, 4.5.2). After
+    # the first pass u3 and v3 are odd with u3*v3 <= e*n (n is odd when e is
+    # even). Each later pass halves t3 = u3 - v3, even and nonzero, at least
+    # once and puts |t3| / 2^s < max(u3, v3) / 2 in place of the larger, so
+    # u3*v3 more than halves while staying >= 1; the pass that makes t3 = 0
+    # ends the loop.
     cap = 4 * (n.bit_length() + e.bit_length()) + 16
     while True:
         its += 1
@@ -365,28 +372,35 @@ def baghdad_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
 FFIM_EXACT_HEADERS = ("i", "s_f", "d_f", "r")
 
 
-def ffim_exact_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
+def _ffim_index(e: int, n: int, a: int, b: int) -> int:
+    """The fraction-integer scan's terminating index in closed form: r = k - 1
+    for the smallest witness k, and i*e - a = r*b."""
+    return ((_smallest_k(e, n) - 1) * b + a) // e
+
+
+def ffim_exact_inverse(
+    p: ModPair, sink: RowSink | None = None, scan_limit: int = LITERAL_SCAN_LIMIT
+) -> InverseOutcome:
     """Fraction-integer scan in exact integer arithmetic.
 
     With a = (n+1) mod e and b = n mod e, finds the smallest i >= 1 such
     that b divides i*e - a, sets r = (i*e - a)/b, and closes with
     d = (n*(r+1) + 1)/e. The a = 0 case is already solved: d = (n+1)/e.
+    The scan tests every i in order when the terminating index is at most
+    scan_limit; beyond that the index comes in closed form, with the same
+    outcome and counts.
     """
     e, n = p.e, p.n
     a = (n + 1) % e
     b = n % e  # nonzero unless e = 1, where a = 0 too
     if a == 0:
         return _outcome(p, (n + 1) // e, 0, OpCounts())
-    i = None
-    if e > LITERAL_SCAN_LIMIT:
-        k = _smallest_k(e, n)
-        i_exact = ((k - 1) * b + a) // e
-        if i_exact > LITERAL_SCAN_LIMIT:
-            i = i_exact
-    if i is None:
-        emit = None if sink is None else lambda i, m: sink(
-            (i, Fraction(a, e), Fraction(b, e), Fraction(i * e - a, b))
-        )
+    i = _ffim_index(e, n, a, b) if e > scan_limit else 0
+    if i <= scan_limit:
+        emit = None
+        if sink is not None:
+            s_f, d_f = Fraction(a, e), Fraction(b, e)  # the same in every row
+            emit = lambda i, m: sink((i, s_f, d_f, Fraction(i * e - a, b)))
         i = _scan((e - a) % b, e % b, b, e, emit)  # (i*e - a) mod b
         if i is None:
             raise InternalConsistencyError("fraction-integer scan passed e steps")
@@ -401,3 +415,9 @@ def ffim_exact_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcom
     # test, one increment of i
     ops = OpCounts(additions=i, subtractions=i, divisions=i, comparisons=i)
     return _outcome(p, d_num // e, i, ops)
+
+
+def ffim_closed_form(p: ModPair) -> InverseOutcome:
+    """ffim_exact_inverse(p) with the terminating index always taken in closed
+    form: the same outcome, counts included, in O(log n) time."""
+    return ffim_exact_inverse(p, scan_limit=0)

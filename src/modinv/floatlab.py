@@ -21,7 +21,7 @@ from .core import (
     InverseOutcome,
     ModPair,
     OpCounts,
-    ffim_exact_inverse,
+    ffim_closed_form,
 )
 
 MAX_EXACT_FLOAT = 1 << 53  # integers below this are exact in binary64
@@ -84,6 +84,98 @@ def _float_scan(s_f: float, d_f: float, epsilon: float, cap: int):
     return None
 
 
+# The candidate scan's safety factor on the rounding-error bound; the number
+# of indices per candidate, and the number of progressions, past which it
+# hands over to _float_scan.
+ERROR_SAFETY = 8
+CANDIDATE_SPARSITY = 64
+MAX_PROGRESSIONS = SCAN_CHUNK // 16
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _threshold(e: int, b: int, d_f: float, epsilon: float) -> int:
+    """T = floor((epsilon + ERROR_SAFETY*u*e/d_f)*b) + 1, capped at b."""
+    bound = (epsilon + ERROR_SAFETY * UNIT_ROUNDOFF * e / d_f) * b
+    return int(bound) + 1 if bound < b else b
+
+
+def _falls_back(b: int, t: int) -> bool:
+    """Whether _float_hit hands threshold t over to _float_scan."""
+    return CANDIDATE_SPARSITY * (2 * t + 1) >= b or 2 * t + 1 > MAX_PROGRESSIONS
+
+
+def _candidates(e: int, a: int, b: int, t: int):
+    """Every i in [1, e] with (i*e - a) mod b in [-t, t], in increasing order;
+    needs gcd(e, b) = 1 and 2t + 1 <= b."""
+    e_inv = pow(e, -1, b)
+    # one offset in [1, b] per progression i = (a + s)/e (mod b); b stands for 0
+    offsets = sorted((a + s) * e_inv % b or b for s in range(-t, t + 1))
+    for base in range(0, e, b):
+        for off in offsets:
+            if base + off > e:
+                return
+            yield base + off
+
+
+def _float_hit(e: int, a: int, b: int, epsilon: float):
+    """First i in [1, e] whose binary64 r = (float(i) - s_f)/d_f, with
+    s_f = a/e and d_f = b/e, is within epsilon of an integer: returns the
+    same (i, r) as _float_scan(s_f, d_f, epsilon, e), or None, but evaluates
+    r only at indices that can pass.
+
+    Error bound. The exact r_i = (i*e - a)/b lies rho_i/b from the nearest
+    integer, where rho_i = min(m, b - m) and m = (i*e - a) mod b. In the
+    standard rounding model (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2.2; Goldberg 1991) s_f, d_f, the subtraction and the
+    division each carry one relative error of at most u = 2^-53, and
+    float(i) is exact below 2^53, so
+
+        r = (r_i - (a/b)*d1) * (1 + d3) * (1 + d4) / (1 + d2),  |dj| <= u,
+        |r - r_i| <= (3*r_i + a/b) * u * (1 + O(u)) < 3*u*e^2/b * (1 + O(u)),
+
+    because r_i <= (e^2 - a)/b for i <= e. r - round(r) is exact in binary64,
+    so i passes only if rho_i/b <= epsilon + |r - r_i|, that is only if
+    rho_i <= (epsilon + 3*u*e^2/b*(1 + O(u)))*b. The threshold
+    T = floor((epsilon + c*u*e/d_f)*b) + 1, with c = ERROR_SAFETY = 8, bounds
+    that: e/d_f is e^2/b to within a factor 1 + u, so c = 8 against the
+    bound's 3 leaves a margin of about 5*e^2 in units of rho, which covers
+    the O(u) terms and the roundings in computing T (relative 5u on a value
+    below b/128 < 2^46); the + 1 covers the floor. Every passing index thus
+    has rho_i < T.
+
+    Candidates. gcd(e, b) = gcd(e, n) = 1, so each residue s in [-T, T] is
+    one progression i = (a + s)*e^-1 (mod b) with step b. Their 2T + 1
+    offsets in [1, b] are distinct, so sorted once they list every candidate
+    in increasing order, one block of b indices at a time: about
+    (2T + 1)*e/b evaluations of the expression _float_scan evaluates.
+
+    Fallback. _float_scan tests every index instead (_falls_back) in two
+    cases. The first is CANDIDATE_SPARSITY*(2T + 1) >= b, that is more than
+    one index in 64 is a candidate: every b <= 192 and a large epsilon. One
+    candidate, evaluated in Python, costs about as much as 45 to 60 indices
+    of the chunked scan (0.5-0.9 us against 11-15 ns on a Xeon, Python
+    3.11.7, numpy 2.4.6), so the candidates cost at most about what the
+    chunked scan costs when both run to e. The second is 2T + 1 >
+    MAX_PROGRESSIONS = 2048, that is a large e: with a small epsilon,
+    T is about 8*u*e^2, which passes 1024 near e = 1.1e9 and reaches 9e8 at
+    e = 1e12. Listing the offsets costs about 0.23 us each, so 2048 of them
+    cost about as much as one 2^15-wide chunk of _float_scan (0.46 ms), the
+    least the fallback spends, and hold far less memory than its arrays.
+    Past that bound their number grows as e^2: at e = 1e12 it would be
+    about 1.8e9 Python ints.
+    """
+    s_f = a / e
+    d_f = b / e
+    t = _threshold(e, b, d_f, epsilon)
+    if _falls_back(b, t):
+        return _float_scan(s_f, d_f, epsilon, e)
+    for i in _candidates(e, a, b, t):
+        r = (float(i) - s_f) / d_f
+        if abs(r - round(r)) <= epsilon:
+            return i, r
+    return None
+
+
 def ffim_float_inverse(p: ModPair, epsilon: float) -> InverseOutcome:
     """Fraction-integer scan with s_f, d_f and r computed in binary64.
 
@@ -97,12 +189,10 @@ def ffim_float_inverse(p: ModPair, epsilon: float) -> InverseOutcome:
     e, n = p.e, p.n
     a = (n + 1) % e
     b = n % e
-    s_f = a / e
-    d_f = b / e
-    if s_f == 0.0:
+    if a == 0:
         d = (n + 1) // e  # exact: a = 0 means e divides n + 1
         return InverseOutcome(d=d % n, k=(e * (d % n) - 1) // n, iterations=0, ops=OpCounts())
-    hit = _float_scan(s_f, d_f, epsilon, e)
+    hit = _float_hit(e, a, b, epsilon)
     if hit is None:
         raise MissedTermination(
             f"no index up to e = {e} looked integral at epsilon = {epsilon}"
@@ -150,9 +240,12 @@ class FloatProbeResult:
 
 
 def probe(p: ModPair, epsilon: float) -> FloatProbeResult:
-    """Run the exact and float scans side by side and classify the result."""
+    """Run the exact and float scans side by side and classify the result.
+
+    The exact side takes its terminating index in closed form, with the
+    outcome ffim_exact_inverse would return."""
     _check_float_domain(p)
-    exact = ffim_exact_inverse(p)
+    exact = ffim_closed_form(p)
     i_exact = exact.iterations
     e, n = p.e, p.n
     a = (n + 1) % e

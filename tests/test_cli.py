@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import modinv
+from modinv import floatlab
 from modinv.cli import main, is_prime, parse_int, rsa_toy_keygen, run_exhaustive_validation
 from modinv.core import DomainError, NoInverseError
 
@@ -268,3 +269,32 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "scan.json").read_text())["pairs"] > 0
+
+    def test_float_candidates_skip_numpy(self):
+        # the candidate float scan is plain Python; only the fallback to the
+        # chunked scan (here b = n mod e = 89, below 64 * (2T + 1)) loads numpy
+        pairs = [(100003, 2**47 + 5, False), (309686, 2535179246073379, False), (97, 10**12 + 39, True)]
+        for e, n, fallback in pairs:
+            b = n % e
+            assert floatlab._falls_back(b, floatlab._threshold(e, b, b / e, 1e-11)) == fallback
+        proc = subprocess.run(
+            [sys.executable, "-c", FLOAT_CHILD, json.dumps(pairs)],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+# Runs in a fresh interpreter: probes each (e, n, fallback) pair of argv[1] at
+# epsilon 1e-11 and checks that numpy is loaded exactly once a fallback ran.
+FLOAT_CHILD = """
+import json, sys
+from modinv import ModPair, ffim_float_inverse, probe
+from modinv.floatlab import FloatInverseFailure
+for e, n, fallback in json.loads(sys.argv[1]):
+    probe(ModPair(e, n), 1e-11)
+    try:
+        ffim_float_inverse(ModPair(e, n), 1e-11)
+    except FloatInverseFailure:
+        pass
+    assert ("numpy" in sys.modules) == fallback, (e, n)
+"""

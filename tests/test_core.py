@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from modinv import (
@@ -14,6 +17,20 @@ from modinv import (
     verify_inverse,
     witness_k,
 )
+
+
+def random_pairs(count, bits, seed):
+    """count coprime pairs with a bits-bit n; at 2048 bits and seed 2009 they
+    are the random pairs of tests/test_golden.py's outcome digest."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        n = rng.getrandbits(bits) | (1 << (bits - 1))
+        e = rng.getrandbits(bits) % n
+        if e and math.gcd(e, n) == 1:
+            pairs.append(ModPair(e, n))
+    return pairs
+
 
 ALL_EXACT = (
     sequential_inverse,
@@ -116,6 +133,15 @@ class TestStein:
 
     def test_against_oracle(self):
         assert stein_inverse(ModPair(3, 10)).d == 7
+
+    def test_passes_within_proven_bound(self):
+        # the loop's cap is 4*(bits) + 16; the proof in stein_inverse bounds
+        # the passes by bits = e.bit_length() + n.bit_length()
+        pairs = [ModPair(e, n) for n in range(2, 513) for e in range(1, n) if math.gcd(e, n) == 1]
+        pairs += random_pairs(64, 2048, seed=2009)  # the golden 2048-bit pairs
+        for p in pairs:
+            bits = p.e.bit_length() + p.n.bit_length()
+            assert stein_inverse(p).iterations <= bits < 4 * bits + 16, p
 
 
 class TestGordon:

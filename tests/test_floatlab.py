@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +14,14 @@ from modinv import (
     scan_failures,
     ulp_gap,
 )
-from modinv.core import DomainError
+from modinv.core import DomainError, ffim_closed_form
 from modinv.floatlab import (
     VERDICT_AGREE,
     VERDICT_WRONG_ANSWER,
+    _candidates,
+    _float_hit,
+    _float_scan,
+    _threshold,
     failure_report_from_json,
     failure_report_to_json,
 )
@@ -97,6 +102,165 @@ class TestProbe:
             pr = probe(p, 1e-9)
             if pr.verdict == VERDICT_AGREE:
                 assert pr.d_float == ffim_exact_inverse(p).d
+
+
+# The floatscan benchmark workload's pool (benchmarks/workloads.py): e near
+# 1e5, 48-bit moduli, epsilon 1e-11.
+POOL_EPSILON = 1e-11
+
+
+def floatscan_pool(seed, size=2048):
+    rng = random.Random(seed)
+    lo = 1 << 47
+    pairs = []
+    while len(pairs) < size:
+        e = rng.randrange(95_000, 105_001)
+        n = rng.randrange(lo, lo << 1)
+        if math.gcd(e, n) == 1:
+            pairs.append(ModPair(e, n))
+    return pairs
+
+
+def coprime_pairs(n_max):
+    for n in range(2, n_max + 1):
+        for e in range(2, n):
+            if math.gcd(e, n) == 1:
+                yield ModPair(e, n)
+
+
+def full_scan(p, epsilon):
+    """_float_scan over every index, as ffim_float_inverse would call it."""
+    a, b = (p.n + 1) % p.e, p.n % p.e
+    return _float_scan(a / p.e, b / p.e, epsilon, p.e)
+
+
+def falls_back(p, epsilon):
+    b = p.n % p.e
+    return floatlab._falls_back(b, _threshold(p.e, b, b / p.e, epsilon))
+
+
+def literal_probe(monkeypatch, p, epsilon):
+    """probe with both scans testing every index in order: the reference for
+    the candidate scan and the closed-form exact side."""
+    with monkeypatch.context() as m:
+        m.setattr(floatlab, "ffim_closed_form", ffim_exact_inverse)
+        m.setattr(floatlab, "_float_hit", lambda e, a, b, eps: _float_scan(a / e, b / e, eps, e))
+        return probe(p, epsilon)
+
+
+# A pair on the candidate path whose first near-integral index is not the
+# exact one: round(r) at i = 592 fails the divisibility confirmation.
+WRONG_E, WRONG_N, WRONG_EPSILON = 4421, 1293272975, 1e-3
+
+
+class TestCandidateScan:
+    @pytest.mark.parametrize("e,b,epsilon,t", [
+        (10007, 5500, 1e-3, 6),  # epsilon*b = 5.5 dominates
+        (2**26 + 1, 2**20, 1e-15, 5),  # 8u*e^2 = 4 dominates
+        (100003, 70001, 1e-11, 1),  # the floatscan regime
+        (7, 3, 1.0, 3),  # capped at b
+        (7, 3, float("inf"), 3),
+    ])
+    def test_threshold(self, e, b, epsilon, t):
+        assert _threshold(e, b, b / e, epsilon) == t
+
+    def test_candidates_are_the_residues_near_zero(self):
+        for e in range(2, 40):
+            for b in range(1, e):
+                if math.gcd(e, b) != 1:
+                    continue
+                for a in range(0, e, 3):
+                    for t in range((b - 1) // 2 + 1):
+                        near = [i for i in range(1, e + 1)
+                                if min((i * e - a) % b, -(i * e - a) % b) <= t]
+                        assert list(_candidates(e, a, b, t)) == near, (e, a, b, t)
+
+    def test_passing_indices_lie_inside_threshold(self):
+        # every index the float test passes, not only the first, has a
+        # residue strictly inside T: the +1 in T is spare
+        for e, n, epsilon in [(10007, 5500 + 10007 * 9, 1e-3), (4421, WRONG_N, 1e-3),
+                              (2003, 2**40 + 1500, 1e-9)]:
+            a, b = (n + 1) % e, n % e
+            i = np.arange(1, e + 1, dtype=np.float64)
+            r = (i - a / e) / (b / e)
+            passing = np.nonzero(np.abs(r - np.rint(r)) <= epsilon)[0] + 1
+            assert passing.size
+            t = _threshold(e, b, b / e, epsilon)
+            assert all(min((j * e - a) % b, -(j * e - a) % b) < t for j in passing.tolist())
+
+    @pytest.mark.parametrize("sparsity", [1, 4])
+    def test_same_hit_as_full_scan_small_pairs(self, monkeypatch, sparsity):
+        # b = n mod e < n/2 <= 150 here, so every pair falls back at the
+        # default sparsity; sparsity 1 sends every pair with 2T + 1 < b to the
+        # candidates
+        monkeypatch.setattr(floatlab, "CANDIDATE_SPARSITY", sparsity)
+        checked = 0
+        for epsilon in (1e-3, 1e-6, 1e-9, 1e-11, 1e-15):
+            for p in coprime_pairs(300):
+                a, b = (p.n + 1) % p.e, p.n % p.e
+                if a and not falls_back(p, epsilon):
+                    assert _float_hit(p.e, a, b, epsilon) == full_scan(p, epsilon), (p, epsilon)
+                    checked += 1
+        assert checked > 50_000
+
+    def test_same_hit_as_full_scan_on_floatscan_pool(self):
+        fallbacks = 0
+        for p in floatscan_pool(1):
+            a, b = (p.n + 1) % p.e, p.n % p.e
+            fallbacks += falls_back(p, POOL_EPSILON)
+            assert _float_hit(p.e, a, b, POOL_EPSILON) == full_scan(p, POOL_EPSILON), p
+        assert fallbacks < 20
+
+    @pytest.mark.parametrize("e,n,epsilon", [
+        (10**12 + 39, 2**51 + 2**49 + 12345, 1e-6),  # T about 8.9e8
+        (10**11 + 3, 2**51 + 777, 1e-4),  # T about 1.9e7
+    ])
+    def test_large_e_falls_back(self, e, n, epsilon):
+        # T grows as 8*u*e^2: at a large e the candidates are sparse but the
+        # progressions too many to list, so the chunked scan takes over
+        p = ModPair(e, n)
+        a, b = (n + 1) % e, n % e
+        t = _threshold(e, b, b / e, epsilon)
+        assert floatlab.CANDIDATE_SPARSITY * (2 * t + 1) < b
+        assert 2 * t + 1 > floatlab.MAX_PROGRESSIONS
+        assert falls_back(p, epsilon)
+        hit = _float_hit(e, a, b, epsilon)
+        assert hit is not None and hit == full_scan(p, epsilon)
+
+    def test_progression_bound_is_exact(self):
+        # b is large enough that only the number of progressions decides
+        b = 10**9
+        assert not floatlab._falls_back(b, floatlab.MAX_PROGRESSIONS // 2 - 1)
+        assert floatlab._falls_back(b, floatlab.MAX_PROGRESSIONS // 2)
+
+    def test_probe_matches_literal_scans(self, monkeypatch):
+        pairs = floatscan_pool(1, 512) + [ModPair(FAILURE_E, FAILURE_N)]
+        for p in pairs:
+            assert probe(p, POOL_EPSILON) == literal_probe(monkeypatch, p, POOL_EPSILON), p
+        assert probe(pairs[-1], 1e-12) == literal_probe(monkeypatch, pairs[-1], 1e-12)
+
+    def test_constructed_wrong_answer(self, monkeypatch):
+        p = ModPair(WRONG_E, WRONG_N)
+        assert not falls_back(p, WRONG_EPSILON)
+        pr = probe(p, WRONG_EPSILON)
+        assert pr.verdict == VERDICT_WRONG_ANSWER
+        assert pr.i_float == 592 and pr.d_float is None
+        assert pr == literal_probe(monkeypatch, p, WRONG_EPSILON)
+        with pytest.raises(floatlab.WrongAnswer):
+            ffim_float_inverse(p, WRONG_EPSILON)
+
+
+class TestClosedFormExactSide:
+    def test_matches_scan_small_pairs(self):
+        for n in range(2, 513):
+            for e in range(1, n):
+                if math.gcd(e, n) == 1:
+                    p = ModPair(e, n)
+                    assert ffim_closed_form(p) == ffim_exact_inverse(p), p
+
+    def test_matches_scan_floatscan_pairs(self):
+        for p in floatscan_pool(1, 256):
+            assert ffim_closed_form(p) == ffim_exact_inverse(p), p
 
 
 class TestSfErrorDecomposition:

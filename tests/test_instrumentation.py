@@ -70,6 +70,13 @@ class TestTracedInverse:
             assert row == (idx, a, b, (idx - a) / b)
         assert trace.rows[-1][3].denominator == 1
 
+    def test_ffim_rows_share_s_f_and_d_f(self):
+        # one Fraction each for s_f and d_f, not two new ones per row
+        _, trace = traced_inverse(AlgorithmId.FFIM_EXACT, ModPair(123, 4567))
+        assert len(trace.rows) > 2
+        first = trace.rows[0]
+        assert all(row[1] is first[1] and row[2] is first[2] for row in trace.rows)
+
     def test_euclid_opcount_consistency(self):
         outcome, trace = traced_inverse(AlgorithmId.EUCLID, ModPair(355, 613))
         assert outcome.ops.divisions == len(trace.rows) - 1

@@ -24,6 +24,7 @@ from modinv.core import (
     OpCounts,
     ScanBudgetError,
     _outcome,
+    _ffim_index,
     _scan,
     _smallest_k,
 )
@@ -219,6 +220,33 @@ def test_literal_branch_with_2048_bit_operands():
         if math.gcd(e, n) == 1:
             for new, frozen in PAIRS[1:]:
                 assert_same(new, frozen, ModPair(e, n))
+
+
+# The literal scans against the closed forms, on pairs whose k (baghdad) or
+# i (ffim_exact) lands just below, at and just above LITERAL_SCAN_LIMIT.
+# The moduli exceed the limit, so each algorithm switches path across it.
+STRADDLE = [LITERAL_SCAN_LIMIT - 1, LITERAL_SCAN_LIMIT, LITERAL_SCAN_LIMIT + 1]
+BIG_E = 2 * LITERAL_SCAN_LIMIT + 11  # coprime to every STRADDLE index
+BIG_B = LITERAL_SCAN_LIMIT + 7  # the ffim_exact hit lies below b
+
+
+@pytest.mark.parametrize("j", STRADDLE)
+def test_baghdad_literal_scan_matches_closed_form(j):
+    p = baghdad_pair(j, BIG_E)
+    e, n = p.e, p.n
+    step = n % e
+    assert _scan((1 + step) % e, step, e, e) == _smallest_k(e, n) == j
+    assert_same(baghdad_inverse, frozen_baghdad, p, j)
+
+
+@pytest.mark.parametrize("j", STRADDLE)
+def test_ffim_literal_scan_matches_closed_form(j):
+    p = ffim_pair(j, BIG_B)
+    e, n = p.e, p.n
+    a, b = (n + 1) % e, n % e
+    assert e > LITERAL_SCAN_LIMIT
+    assert _scan((e - a) % b, e % b, b, e) == _ffim_index(e, n, a, b) == j
+    assert_same(ffim_exact_inverse, frozen_ffim_exact, p, j)
 
 
 def test_sequential_budget():
