@@ -49,7 +49,10 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-@dataclass(frozen=True)
+# The result types are frozen dataclasses whose __init__ writes the fields into
+# __dict__ directly: the generated frozen __init__ sends each one through
+# object.__setattr__, which costs more than the log-time loops at small n.
+@dataclass(frozen=True, init=False)
 class ModPair:
     """A validated problem instance: find the inverse of e modulo n.
 
@@ -60,19 +63,21 @@ class ModPair:
     e: int
     n: int
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"modulus must be >= 2, got {self.n}")
-        e = self.e % self.n
-        if e == 0:
-            raise DomainError(f"operand {self.e} is 0 modulo {self.n}")
-        g = math.gcd(e, self.n)
+    def __init__(self, e: int, n: int):
+        if n < 2:
+            raise DomainError(f"modulus must be >= 2, got {n}")
+        r = e % n
+        if r == 0:
+            raise DomainError(f"operand {e} is 0 modulo {n}")
+        g = math.gcd(r, n)
         if g != 1:
-            raise NoInverseError(e, self.n, g)
-        object.__setattr__(self, "e", e)
+            raise NoInverseError(r, n, g)
+        fields = self.__dict__
+        fields["e"] = r
+        fields["n"] = n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OpCounts:
     """Tallies of the arithmetic operations executed by an algorithm's
     main loop."""
@@ -83,6 +88,23 @@ class OpCounts:
     divisions: int = 0
     shifts: int = 0
     comparisons: int = 0
+
+    def __init__(
+        self,
+        additions: int = 0,
+        subtractions: int = 0,
+        multiplications: int = 0,
+        divisions: int = 0,
+        shifts: int = 0,
+        comparisons: int = 0,
+    ):
+        fields = self.__dict__
+        fields["additions"] = additions
+        fields["subtractions"] = subtractions
+        fields["multiplications"] = multiplications
+        fields["divisions"] = divisions
+        fields["shifts"] = shifts
+        fields["comparisons"] = comparisons
 
     def __add__(self, other: "OpCounts") -> "OpCounts":
         return OpCounts(
@@ -95,7 +117,7 @@ class OpCounts:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InverseOutcome:
     """Result of one inverse computation.
 
@@ -106,6 +128,13 @@ class InverseOutcome:
     k: int
     iterations: int
     ops: OpCounts
+
+    def __init__(self, d: int, k: int, iterations: int, ops: OpCounts):
+        fields = self.__dict__
+        fields["d"] = d
+        fields["k"] = k
+        fields["iterations"] = iterations
+        fields["ops"] = ops
 
 
 def verify_inverse(p: ModPair, d: int) -> bool:
@@ -121,12 +150,14 @@ def witness_k(p: ModPair, d: int) -> int:
 
 
 def _outcome(p: ModPair, d_raw: int, iterations: int, ops: OpCounts) -> InverseOutcome:
-    d = d_raw % p.n
-    if not verify_inverse(p, d):
+    # verify_inverse inline: d lies in [0, n) and n >= 2, so d = 0 fails too
+    e, n = p.e, p.n
+    d = d_raw % n
+    if e * d % n != 1:
         raise InternalConsistencyError(
-            f"algorithm produced {d_raw} which is not an inverse of {p.e} mod {p.n}"
+            f"algorithm produced {d_raw} which is not an inverse of {e} mod {n}"
         )
-    return InverseOutcome(d=d, k=(p.e * d - 1) // p.n, iterations=iterations, ops=ops)
+    return InverseOutcome(d, (e * d - 1) // n, iterations, ops)
 
 
 RowSink = Callable[[tuple], object]
@@ -141,12 +172,19 @@ SCAN_CHUNK = 1 << 15
 def _scan(m: int, step: int, mod: int, cap: int, emit=None) -> int | None:
     """First j in [1, cap] with m + (j - 1)*step = 0 modulo mod, or None;
     needs 0 <= m, step < mod. An emit(j, residue) sees each candidate, in Python."""
+    if emit is not None:
+        for j in range(1, cap + 1):
+            emit(j, m)
+            if not m:
+                return j
+            m += step
+            if m >= mod:
+                m -= mod
+        return None
     prefix = cap
-    if cap > SCAN_PREFIX and emit is None and (SCAN_CHUNK + 1) * mod < 1 << 63:
+    if cap > SCAN_PREFIX and (SCAN_CHUNK + 1) * mod < 1 << 63:
         prefix = SCAN_PREFIX
     for j in range(1, prefix + 1):
-        if emit is not None:
-            emit(j, m)
         if not m:
             return j
         m += step
@@ -200,8 +238,8 @@ def euclid_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     if sink is not None:
         sink((g, u, i, v, 0, 0))
     while u > 0:
-        q = g // u
-        g, u = u, g - q * u
+        q, r = divmod(g, u)
+        g, u = u, r
         i, v = v, i - q * v
         its += 1
         if sink is not None:
@@ -228,7 +266,6 @@ def stein_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     even.
     """
     e, n = p.e, p.n
-    adds = subs = shifts = cmps = 0
     u1, u2, u3 = 1, 0, e
     v1, v2, v3 = n, 1 - e, n
     if e & 1:
@@ -237,7 +274,7 @@ def stein_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
         t1, t2, t3 = 1, 0, e
     if sink is not None:
         sink((u1, u2, u3, v1, v2, v3, t1, t2, t3))
-    its = 0
+    halvings = fixes = flips = wraps = 0
     # The cap is unreachable: the loop makes at most e.bit_length() +
     # n.bit_length() passes (Stein 1967; Knuth, TAOCP Vol. 2, 4.5.2). After
     # the first pass u3 and v3 are odd with u3*v3 <= e*n (n is odd when e is
@@ -246,45 +283,43 @@ def stein_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     # u3*v3 more than halves while staying >= 1; the pass that makes t3 = 0
     # ends the loop.
     cap = 4 * (n.bit_length() + e.bit_length()) + 16
-    while True:
-        its += 1
-        if its > cap:
-            raise InternalConsistencyError("binary gcd exceeded its iteration cap")
+    for its in range(1, cap + 1):
         while t3 & 1 == 0:
-            cmps += 1
             t3 >>= 1
-            shifts += 1
+            halvings += 1
             if t1 & 1 == 0 and t2 & 1 == 0:
                 t1 >>= 1
                 t2 >>= 1
             else:
                 t1 = (t1 + n) >> 1
                 t2 = (t2 - e) >> 1
-                adds += 1
-                subs += 1
-            shifts += 2
-            cmps += 1
-        cmps += 1
+                fixes += 1
         if t3 > 0:
             u1, u2, u3 = t1, t2, t3
         else:
             v1, v2, v3 = n - t1, -(e + t2), -t3
-            subs += 2
-            adds += 1
-        cmps += 1
+            flips += 1
         t1, t2, t3 = u1 - v1, u2 - v2, u3 - v3
-        subs += 3
         if t1 < 0:
             t1 += n
             t2 -= e
-            adds += 1
-            subs += 1
+            wraps += 1
         if sink is not None:
             sink((u1, u2, u3, v1, v2, v3, t1, t2, t3))
-        cmps += 2  # sign fix test and the until test
         if t3 == 0:
             break
-    ops = OpCounts(additions=adds, subtractions=subs, shifts=shifts, comparisons=cmps)
+    else:
+        raise InternalConsistencyError("binary gcd exceeded its iteration cap")
+    # Per halving: the parity test, the even-t1/t2 test, 3 shifts; a parity
+    # fix adds n and subtracts e. Per pass: the failing parity test, the sign
+    # test, 3 subtractions forming t, the sign-fix test and the until test; a
+    # sign flip costs 2 subtractions and an addition, a wrap one of each.
+    ops = OpCounts(
+        additions=fixes + flips + wraps,
+        subtractions=fixes + 2 * flips + wraps + 3 * its,
+        shifts=3 * halvings,
+        comparisons=2 * halvings + 4 * its,
+    )
     return _outcome(p, u1, its, ops)
 
 

@@ -1,12 +1,18 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
 
 from modinv import (
     DomainError,
+    InternalConsistencyError,
+    InverseOutcome,
     ModPair,
     NoInverseError,
+    OpCounts,
     baghdad_inverse,
     euclid_inverse,
     ffim_exact_inverse,
@@ -17,6 +23,7 @@ from modinv import (
     verify_inverse,
     witness_k,
 )
+from modinv.core import _outcome
 
 
 def random_pairs(count, bits, seed):
@@ -234,3 +241,115 @@ def test_large_operands():
     assert (e * d) % n == 1
     assert stein_inverse(p).d == d
     assert gordon_inverse(p).d == d
+
+
+# The README example: euclid_inverse(ModPair(7, 60)).
+EXAMPLE_REPR = (
+    "InverseOutcome(d=43, k=5, iterations=4, ops=OpCounts(additions=0, "
+    "subtractions=8, multiplications=8, divisions=4, shifts=0, comparisons=5))"
+)
+
+
+def _example_values():
+    """Two equal but separately built instances of each result type."""
+    return [
+        (ModPair(7, 60), ModPair(67, 60)),
+        (OpCounts(1, 2, 3, 4, 5, 6), OpCounts(1, 2, 3, 4, 5, 6)),
+        (euclid_inverse(ModPair(7, 60)), euclid_inverse(ModPair(67, 60))),
+    ]
+
+
+class TestResultTypes:
+    def test_field_names_and_order(self):
+        names = lambda cls: [f.name for f in dataclasses.fields(cls)]
+        assert names(ModPair) == ["e", "n"]
+        assert names(OpCounts) == [
+            "additions",
+            "subtractions",
+            "multiplications",
+            "divisions",
+            "shifts",
+            "comparisons",
+        ]
+        assert names(InverseOutcome) == ["d", "k", "iterations", "ops"]
+
+    def test_repr_of_readme_example(self):
+        assert repr(ModPair(7, 60)) == "ModPair(e=7, n=60)"
+        assert repr(euclid_inverse(ModPair(7, 60))) == EXAMPLE_REPR
+
+    def test_equal_values_equal_objects_and_hashes(self):
+        for a, b in _example_values():
+            assert a is not b
+            assert a == b
+            assert hash(a) == hash(b)
+        assert ModPair(7, 60) != ModPair(7, 61)
+        assert OpCounts(shifts=1) != OpCounts()
+        assert len({OpCounts(), OpCounts(), OpCounts(comparisons=1)}) == 2
+
+    def test_fields_are_frozen(self):
+        for value, _ in _example_values():
+            for f in dataclasses.fields(value):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, f.name, 1)
+
+    def test_replace_astuple_copy_and_pickle(self):
+        p = ModPair(7, 60)
+        assert dataclasses.replace(p, e=67) == p  # replace validates again
+        with pytest.raises(NoInverseError):
+            dataclasses.replace(p, e=6)
+        o = euclid_inverse(p)
+        changed = dataclasses.replace(o, iterations=9)
+        assert (changed.d, changed.k, changed.iterations, changed.ops) == (43, 5, 9, o.ops)
+        assert dataclasses.astuple(p) == (7, 60)
+        assert dataclasses.astuple(o) == (43, 5, 4, (0, 8, 8, 4, 0, 5))
+        for value, _ in _example_values():
+            assert copy.copy(value) == value
+            assert copy.deepcopy(value) == value
+            restored = pickle.loads(pickle.dumps(value))
+            assert restored == value
+            assert hash(restored) == hash(value)
+            assert type(restored) is type(value)
+
+    def test_modpair_keywords_normalize(self):
+        p = ModPair(e=-1, n=7)
+        assert p.e == 6
+        assert p.n == 7
+
+    def test_opcounts_defaults_to_zero(self):
+        assert dataclasses.astuple(OpCounts()) == (0, 0, 0, 0, 0, 0)
+        assert OpCounts(divisions=2) == OpCounts(0, 0, 0, 2, 0, 0)
+
+    def test_opcounts_add(self):
+        total = OpCounts(1, 2, 3, 4, 5, 6) + OpCounts(comparisons=10)
+        assert total == OpCounts(1, 2, 3, 4, 5, 16)
+
+    def test_modpair_errors_unchanged(self):
+        with pytest.raises(DomainError, match="modulus must be >= 2, got 1"):
+            ModPair(1, 1)
+        with pytest.raises(DomainError, match="operand 120 is 0 modulo 60"):
+            ModPair(120, 60)
+        with pytest.raises(NoInverseError, match=r"gcd\(6, 60\) = 6"):
+            ModPair(66, 60)
+
+
+class TestOutcomeRefusal:
+    @pytest.mark.parametrize("d_raw", [42, 44, 1, 0, 60, -60, 120])
+    def test_non_inverse_raises_naming_value(self, d_raw):
+        # the inverse of 7 mod 60 is 43
+        with pytest.raises(InternalConsistencyError, match=f"produced {d_raw} which"):
+            _outcome(ModPair(7, 60), d_raw, 1, OpCounts())
+
+    def test_zero_residue_refused_at_every_small_modulus(self):
+        # d_raw = 0 mod n must fail the check for every pair, n = 2 included
+        for n in range(2, 40):
+            for e in range(1, n):
+                if math.gcd(e, n) == 1:
+                    for d_raw in (0, n, -n, 5 * n):
+                        with pytest.raises(InternalConsistencyError, match=f"produced {d_raw} which"):
+                            _outcome(ModPair(e, n), d_raw, 0, OpCounts())
+
+    @pytest.mark.parametrize("d_raw", [43, 103, 43 - 3 * 60])
+    def test_inverse_accepted_and_reduced(self, d_raw):
+        ops = OpCounts(additions=1)
+        o = _outcome(ModPair(7, 60), d_raw, 4, ops)
+        assert o == InverseOutcome(d=43, k=5, iterations=4, ops=ops)

@@ -64,6 +64,64 @@ def test_log_time_algorithms_agree_on_large_pairs(en):
         assert 1 <= o.d < n
 
 
+KEY_BITS = (64, 256, 1024, 2048, 4096)
+
+
+def key_size_pairs():
+    """Coprime pairs with an n of exactly one of KEY_BITS bits."""
+    return (
+        st.sampled_from(KEY_BITS)
+        .flatmap(lambda bits: st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
+        .flatmap(lambda n: st.tuples(st.integers(min_value=1, max_value=n - 1), st.just(n)))
+        .filter(lambda en: math.gcd(en[0], en[1]) == 1)
+    )
+
+
+def assert_pow_oracle(p, o):
+    # the second oracle at sizes where the sequential scan cannot run
+    assert o.d == pow(p.e, -1, p.n)
+    assert p.e * o.d == 1 + o.k * p.n
+    assert 0 <= o.k < p.e
+
+
+@given(key_size_pairs())
+@settings(max_examples=30, deadline=None)
+def test_euclid_at_key_sizes(en):
+    p = ModPair(*en)
+    o = euclid_inverse(p)
+    assert_pow_oracle(p, o)
+    ops, its = o.ops, o.iterations
+    assert ops.divisions == its
+    assert ops.subtractions == ops.multiplications == 2 * its
+    assert ops.comparisons == its + 1
+    assert ops.additions == ops.shifts == 0
+
+
+@given(key_size_pairs())
+@settings(max_examples=30, deadline=None)
+def test_stein_at_key_sizes(en):
+    p = ModPair(*en)
+    o = stein_inverse(p)
+    assert_pow_oracle(p, o)
+    ops, its = o.ops, o.iterations
+    assert ops.multiplications == ops.divisions == 0
+    assert ops.shifts % 3 == 0
+    assert ops.comparisons == 2 * ops.shifts // 3 + 4 * its
+    assert 3 * its <= ops.subtractions - ops.additions <= 4 * its
+
+
+@given(key_size_pairs())
+@settings(max_examples=30, deadline=None)
+def test_gordon_at_key_sizes(en):
+    p = ModPair(*en)
+    o = gordon_inverse(p)
+    assert_pow_oracle(p, o)
+    ops, its = o.ops, o.iterations
+    assert ops.multiplications == ops.divisions == 0
+    assert ops.shifts == ops.additions + ops.subtractions
+    assert ops.comparisons == 2 * its + ops.subtractions // 2 + ops.additions + 1
+
+
 @given(coprime_pairs(2000))
 @settings(max_examples=200)
 def test_baghdad_iteration_law(en):
