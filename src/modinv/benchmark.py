@@ -17,8 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .core import DomainError, ModPair, OpCounts, verify_inverse
-from .instrumentation import ALGORITHM_FUNCS, AlgorithmId
+from .core import AlgorithmId, DomainError, ModPair, OpCounts, verify_inverse
 
 RANDOM_COPRIME = "random_coprime"
 
@@ -138,7 +137,7 @@ def run_benchmark(
         e_mode = "custom"
     rows = []
     for alg in algs:
-        func = ALGORITHM_FUNCS[alg]
+        func = alg.func
         iters = []
         ops_total = OpCounts()
         times = []

@@ -7,7 +7,6 @@ non-coprime exponent), 2 usage or environment error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import __version__
@@ -21,21 +20,16 @@ from .benchmark import (
     run_benchmark,
 )
 from .core import (
+    EXACT_ALGORITHMS,
+    AlgorithmId,
     DomainError,
     ModPair,
     NoInverseError,
-    euclid_inverse,
-    sequential_inverse,
+    rsa_toy_keygen,
+    run_exhaustive_validation,
 )
 from .floatlab import failure_report_to_json, scan_failures
-from .instrumentation import (
-    ALGORITHM_FUNCS,
-    EXACT_ALGORITHMS,
-    AlgorithmId,
-    TraceTooLongError,
-    render_trace,
-    traced_inverse,
-)
+from .instrumentation import TraceTooLongError, render_trace, traced_inverse
 
 
 def parse_int(text: str) -> int:
@@ -49,75 +43,20 @@ def parse_int(text: str) -> int:
 
 
 def _algorithm(name: str) -> AlgorithmId:
-    try:
-        return AlgorithmId(name)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"unknown algorithm: {name!r}")
+    """An exact algorithm by name; the float variant belongs to scan-float."""
+    for alg in EXACT_ALGORITHMS:
+        if alg.value == name:
+            return alg
+    raise argparse.ArgumentTypeError(f"not an exact algorithm: {name!r}")
+
+
+def _algorithms(text: str) -> tuple:
+    """Comma-separated exact algorithm names."""
+    return tuple(_algorithm(name) for name in text.split(","))
 
 
 def _e_list(text: str) -> tuple:
     return tuple(parse_int(part) for part in text.split(","))
-
-
-def run_exhaustive_validation(n_max: int):
-    """Check every exact algorithm against the sequential oracle for all
-    coprime pairs with n <= n_max.
-
-    Returns (pairs_checked, first_discrepancy) where the discrepancy is
-    (algorithm, e, n) or None.
-    """
-    if not 2 <= n_max <= 4096:
-        raise DomainError(f"n_max must be in [2, 4096], got {n_max}")
-    others = [a for a in EXACT_ALGORITHMS if a is not AlgorithmId.SEQUENTIAL]
-    checked = 0
-    for n in range(2, n_max + 1):
-        for e in range(1, n):
-            if math.gcd(e, n) != 1:
-                continue
-            p = ModPair(e, n)
-            expected = sequential_inverse(p).d
-            checked += 1
-            for alg in others:
-                if ALGORITHM_FUNCS[alg](p).d != expected:
-                    return checked, (alg.value, e, n)
-    return checked, None
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality; intended for toy-scale inputs only."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def rsa_toy_keygen(p: int, q: int, e: int):
-    """Toy RSA key pair: n = p*q and d = e^-1 modulo (p-1)(q-1)."""
-    limit = 1 << 32
-    if p >= limit or q >= limit:
-        raise DomainError("primes must be below 2^32 for the demo")
-    if p == q:
-        raise DomainError("p and q must differ")
-    for value in (p, q):
-        if not is_prime(value):
-            raise DomainError(f"{value} is not prime")
-    totient = (p - 1) * (q - 1)
-    d = euclid_inverse(ModPair(e, totient)).d
-    return p * q, e, d
-
-
-def _selected_algorithms(arg) -> list:
-    if arg == "all":
-        return list(EXACT_ALGORITHMS)
-    return [arg]
 
 
 def _cmd_inverse(args) -> int:
@@ -126,10 +65,7 @@ def _cmd_inverse(args) -> int:
     except NoInverseError as err:
         print(f"no inverse: gcd={err.common_divisor}")
         return 1
-    results = []
-    for alg in _selected_algorithms(args.alg):
-        o = ALGORITHM_FUNCS[alg](p)
-        results.append((alg, o))
+    results = [(alg, alg.func(p)) for alg in args.alg]
     if len({o.d for _, o in results}) != 1:
         print("error: algorithms disagree", file=sys.stderr)
         return 1
@@ -165,8 +101,7 @@ def _cmd_bench(args) -> int:
         n_bits=args.bits, samples=args.samples, e_mode=e_mode, seed=args.seed
     )
     pairs = generate_workload(spec)
-    algs = [_algorithm(name) for name in args.algs.split(",")]
-    report = run_benchmark(pairs, algs, spec=spec, repetitions=args.reps)
+    report = run_benchmark(pairs, args.algs, spec=spec, repetitions=args.reps)
     text = emit_report(report, args.format)
     with open(args.out, "w") as fh:
         fh.write(text)
@@ -228,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument(
         "--alg",
         default="all",
-        type=lambda s: "all" if s == "all" else _algorithm(s),
+        type=lambda s: EXACT_ALGORITHMS if s == "all" else (_algorithm(s),),
         metavar="{" + ",".join(exact_names + ["all"]) + "}",
     )
     p_inv.set_defaults(func=_cmd_inverse)
@@ -264,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--algs",
         default=",".join(exact_names),
-        help="comma-separated algorithm names",
+        type=_algorithms,
+        help="comma-separated exact algorithm names",
     )
     p_bench.add_argument("--reps", type=parse_int, default=5)
     p_bench.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -7,11 +7,15 @@ its main loop.
 
 Each algorithm also takes an optional ``sink``, called with one row per
 loop pass (after a row for the initial state in Euclid, Stein and Gordon)
-laid out as its ``*_HEADERS``; the closed-form scan shortcuts call no sink.
+laid out as the ``headers`` of its :class:`AlgorithmId` member; the
+closed-form scan shortcuts call no sink. :class:`AlgorithmId`, at the end
+of this module, is the table of algorithms that the tracer, the benchmark
+harness and the CLI dispatch through.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -203,7 +207,6 @@ def _scan(m: int, step: int, mod: int, cap: int, emit=None) -> int | None:
     return None
 
 
-SEQUENTIAL_HEADERS = ("d", "e_d_mod_n")
 # sequential, the literal oracle, refuses with ScanBudgetError past this many
 # candidates rather than switch to a closed form. Above the tracer's row cap.
 SEQUENTIAL_BUDGET = 1 << 24
@@ -224,9 +227,6 @@ def sequential_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcom
     # increments of the candidate itself
     ops = OpCounts(additions=d - 1, multiplications=d, divisions=d, comparisons=d)
     return _outcome(p, d, d, ops)
-
-
-EUCLID_HEADERS = ("g", "u", "i", "v", "q", "t")
 
 
 def euclid_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
@@ -253,9 +253,6 @@ def euclid_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
         comparisons=its + 1,
     )
     return _outcome(p, i, its, ops)
-
-
-STEIN_HEADERS = ("u1", "u2", "u3", "v1", "v2", "v3", "t1", "t2", "t3")
 
 
 def stein_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
@@ -323,9 +320,6 @@ def stein_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     return _outcome(p, u1, its, ops)
 
 
-GORDON_HEADERS = ("g", "u", "i", "v", "q")
-
-
 def gordon_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     """Euclid variant with power-of-two quotients found by shifting.
 
@@ -379,9 +373,6 @@ def _smallest_k(e: int, n: int) -> int:
     return -pow(n, -1, e) % e
 
 
-BAGHDAD_HEADERS = ("d", "result")
-
-
 def baghdad_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     """Repeatedly add n to a running numerator until e divides it.
 
@@ -402,9 +393,6 @@ def baghdad_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     # per pass: one addition of n, one division by e, one integrality test
     ops = OpCounts(additions=k, divisions=k, comparisons=k)
     return _outcome(p, (1 + k * n) // e, k, ops)
-
-
-FFIM_EXACT_HEADERS = ("i", "s_f", "d_f", "r")
 
 
 def _ffim_index(e: int, n: int, a: int, b: int) -> int:
@@ -456,3 +444,89 @@ def ffim_closed_form(p: ModPair) -> InverseOutcome:
     """ffim_exact_inverse(p) with the terminating index always taken in closed
     form: the same outcome, counts included, in O(log n) time."""
     return ffim_exact_inverse(p, scan_limit=0)
+
+
+class AlgorithmId(enum.Enum):
+    """The algorithm table. Each member's value is its name; ``func`` is its
+    exact function and ``headers`` the layout of the rows its sink receives.
+    The float variant lives in the float error lab and has neither."""
+
+    def __new__(cls, value: str, func=None, headers=None):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.func = func
+        member.headers = headers
+        return member
+
+    SEQUENTIAL = ("sequential", sequential_inverse, ("d", "e_d_mod_n"))
+    EUCLID = ("euclid", euclid_inverse, ("g", "u", "i", "v", "q", "t"))
+    STEIN = (
+        "stein",
+        stein_inverse,
+        ("u1", "u2", "u3", "v1", "v2", "v3", "t1", "t2", "t3"),
+    )
+    GORDON = ("gordon", gordon_inverse, ("g", "u", "i", "v", "q"))
+    BAGHDAD = ("baghdad", baghdad_inverse, ("d", "result"))
+    FFIM_EXACT = ("ffim_exact", ffim_exact_inverse, ("i", "s_f", "d_f", "r"))
+    FFIM_FLOAT = "ffim_float"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+EXACT_ALGORITHMS = tuple(alg for alg in AlgorithmId if alg.func is not None)
+
+
+def run_exhaustive_validation(n_max: int):
+    """Check every exact algorithm against the sequential oracle for all
+    coprime pairs with n <= n_max.
+
+    Returns (pairs_checked, first_discrepancy) where the discrepancy is
+    (algorithm, e, n) or None.
+    """
+    if not 2 <= n_max <= 4096:
+        raise DomainError(f"n_max must be in [2, 4096], got {n_max}")
+    others = [a for a in EXACT_ALGORITHMS if a is not AlgorithmId.SEQUENTIAL]
+    checked = 0
+    for n in range(2, n_max + 1):
+        for e in range(1, n):
+            if math.gcd(e, n) != 1:
+                continue
+            p = ModPair(e, n)
+            expected = sequential_inverse(p).d
+            checked += 1
+            for alg in others:
+                if alg.func(p).d != expected:
+                    return checked, (alg.value, e, n)
+    return checked, None
+
+
+def is_prime(n: int) -> bool:
+    """Trial-division primality; intended for toy-scale inputs only."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def rsa_toy_keygen(p: int, q: int, e: int):
+    """Toy RSA key pair: n = p*q and d = e^-1 modulo (p-1)(q-1)."""
+    limit = 1 << 32
+    if p >= limit or q >= limit:
+        raise DomainError("primes must be below 2^32 for the demo")
+    if p == q:
+        raise DomainError("p and q must differ")
+    for value in (p, q):
+        if not is_prime(value):
+            raise DomainError(f"{value} is not prime")
+    totient = (p - 1) * (q - 1)
+    d = euclid_inverse(ModPair(e, totient)).d
+    return p * q, e, d

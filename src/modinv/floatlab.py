@@ -21,6 +21,7 @@ from .core import (
     InverseOutcome,
     ModPair,
     OpCounts,
+    _outcome,
     ffim_closed_form,
 )
 
@@ -190,8 +191,8 @@ def ffim_float_inverse(p: ModPair, epsilon: float) -> InverseOutcome:
     a = (n + 1) % e
     b = n % e
     if a == 0:
-        d = (n + 1) // e  # exact: a = 0 means e divides n + 1
-        return InverseOutcome(d=d % n, k=(e * (d % n) - 1) // n, iterations=0, ops=OpCounts())
+        # exact: a = 0 means e divides n + 1
+        return _outcome(p, (n + 1) // e, 0, OpCounts())
     hit = _float_hit(e, a, b, epsilon)
     if hit is None:
         raise MissedTermination(
@@ -205,9 +206,8 @@ def ffim_float_inverse(p: ModPair, epsilon: float) -> InverseOutcome:
             f"index {i} gave r = {r} but (n*(round(r)+1)+1)/e is not an integer",
             i=i,
         )
-    d = (d_num // e) % n
     ops = OpCounts(additions=i, subtractions=i, divisions=i, comparisons=i)
-    return InverseOutcome(d=d, k=(e * d - 1) // n, iterations=i, ops=ops)
+    return _outcome(p, d_num // e, i, ops)
 
 
 @dataclass(frozen=True)

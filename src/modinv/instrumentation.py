@@ -7,50 +7,14 @@ replayed.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
 
-from . import core
-from .core import (
-    DomainError,
-    InverseOutcome,
-    ModPair,
-    baghdad_inverse,
-    euclid_inverse,
-    ffim_exact_inverse,
-    gordon_inverse,
-    sequential_inverse,
-    stein_inverse,
-)
+from .core import EXACT_ALGORITHMS, AlgorithmId, DomainError, InverseOutcome, ModPair
 
-
-class AlgorithmId(enum.Enum):
-    SEQUENTIAL = "sequential"
-    EUCLID = "euclid"
-    STEIN = "stein"
-    GORDON = "gordon"
-    BAGHDAD = "baghdad"
-    FFIM_EXACT = "ffim_exact"
-    FFIM_FLOAT = "ffim_float"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-# The exact algorithms, dispatchable by id. The float variant lives in
-# the float error lab and is deliberately absent here.
-ALGORITHM_FUNCS = {
-    AlgorithmId.SEQUENTIAL: sequential_inverse,
-    AlgorithmId.EUCLID: euclid_inverse,
-    AlgorithmId.STEIN: stein_inverse,
-    AlgorithmId.GORDON: gordon_inverse,
-    AlgorithmId.BAGHDAD: baghdad_inverse,
-    AlgorithmId.FFIM_EXACT: ffim_exact_inverse,
-}
-
-EXACT_ALGORITHMS = tuple(ALGORITHM_FUNCS)
+# The exact algorithms' functions keyed by id: a view of core's table.
+ALGORITHM_FUNCS = {alg: alg.func for alg in EXACT_ALGORITHMS}
 
 MAX_TRACE_ROWS = 10**6
 
@@ -67,16 +31,6 @@ class StepTrace:
     final: InverseOutcome
 
 
-_HEADERS = {
-    AlgorithmId.SEQUENTIAL: core.SEQUENTIAL_HEADERS,
-    AlgorithmId.EUCLID: core.EUCLID_HEADERS,
-    AlgorithmId.STEIN: core.STEIN_HEADERS,
-    AlgorithmId.GORDON: core.GORDON_HEADERS,
-    AlgorithmId.BAGHDAD: core.BAGHDAD_HEADERS,
-    AlgorithmId.FFIM_EXACT: core.FFIM_EXACT_HEADERS,
-}
-
-
 def traced_inverse(alg: AlgorithmId, p: ModPair):
     """Run an algorithm with per-iteration recording.
 
@@ -84,7 +38,7 @@ def traced_inverse(alg: AlgorithmId, p: ModPair):
     operation's. Refuses with TraceTooLongError as soon as the run would
     record more than MAX_TRACE_ROWS rows.
     """
-    if alg not in ALGORITHM_FUNCS:
+    if alg not in EXACT_ALGORITHMS:
         raise DomainError(f"algorithm {alg} cannot be traced here")
     refusal = f"trace of {alg} would exceed {MAX_TRACE_ROWS} rows; run untraced instead"
     rows = []
@@ -94,12 +48,12 @@ def traced_inverse(alg: AlgorithmId, p: ModPair):
             raise TraceTooLongError(refusal)
         rows.append(row)
 
-    outcome = ALGORITHM_FUNCS[alg](p, sink)
+    outcome = alg.func(p, sink)
     # The closed-form path records no rows; it only runs past
     # LITERAL_SCAN_LIMIT steps, which is more than MAX_TRACE_ROWS.
     if outcome.iterations > len(rows):
         raise TraceTooLongError(refusal)
-    return outcome, StepTrace(alg, _HEADERS[alg], tuple(rows), outcome)
+    return outcome, StepTrace(alg, alg.headers, tuple(rows), outcome)
 
 
 def knuth_expected_divisions(n: int) -> float:

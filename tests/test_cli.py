@@ -8,8 +8,8 @@ import pytest
 
 import modinv
 from modinv import floatlab
-from modinv.cli import main, is_prime, parse_int, rsa_toy_keygen, run_exhaustive_validation
-from modinv.core import DomainError, NoInverseError
+from modinv.cli import main, parse_int, rsa_toy_keygen, run_exhaustive_validation
+from modinv.core import AlgorithmId, DomainError, InverseOutcome, NoInverseError, OpCounts, is_prime
 
 
 def run(capsys, *argv):
@@ -71,6 +71,11 @@ class TestInverse:
         code, _, _ = run(capsys, "inverse", "--e", "x", "--n", "60")
         assert code == 2
 
+    def test_float_alg_rejected(self, capsys):
+        code, _, err = run(capsys, "inverse", "--e", "7", "--n", "60", "--alg", "ffim_float")
+        assert code == 2
+        assert "not an exact algorithm: 'ffim_float'" in err
+
 
 class TestTrace:
     def test_euclid_table(self, capsys):
@@ -122,6 +127,23 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", "--n-max", "5000")
         assert code == 2
 
+    @staticmethod
+    def wrong_gordon(p):
+        # right only where the inverse is 1: first wrong at (e=2, n=3)
+        return InverseOutcome(1, 0, 0, OpCounts())
+
+    def test_discrepancy_found(self, monkeypatch):
+        monkeypatch.setattr(AlgorithmId.GORDON, "func", self.wrong_gordon)
+        checked, discrepancy = run_exhaustive_validation(8)
+        assert discrepancy == ("gordon", 2, 3)
+        assert checked == 3  # (1, 2), (1, 3), (2, 3)
+
+    def test_discrepancy_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(AlgorithmId.GORDON, "func", self.wrong_gordon)
+        code, out, _ = run(capsys, "validate", "--n-max", "8")
+        assert code == 1
+        assert out == "discrepancy: gordon disagrees with sequential at (e=2, n=3)\n"
+
 
 class TestBench:
     def test_csv_artifact(self, tmp_path, capsys):
@@ -158,6 +180,17 @@ class TestBench:
             for line in text.splitlines()
         ]
         assert strip(f1.read_text()) == strip(f2.read_text())
+
+    @pytest.mark.parametrize("algs", ["euclid,bogus", "", "ffim_float"])
+    def test_bad_algs_rejected(self, tmp_path, capsys, algs):
+        out_file = tmp_path / "r.csv"
+        code, _, err = run(
+            capsys, "bench", "--bits", "10", "--samples", "2", "--seed", "1",
+            "--reps", "1", "--algs", algs, "--out", str(out_file),
+        )
+        assert code == 2
+        assert "argument --algs: not an exact algorithm" in err
+        assert not out_file.exists()
 
     def test_unwritable_output(self, capsys):
         code, _, _ = run(
