@@ -255,22 +255,77 @@ def euclid_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     return _outcome(p, i, its, ops)
 
 
+def _stein_row(
+    e: int, n: int, prev: tuple, uc: int, u3: int, vc: int, v3: int, tc: int, t3: int
+) -> tuple:
+    """Stein's nine-column trace row after one pass, from the row before it
+    and the kept cofactors uc, vc, tc (see stein_inverse).
+
+    The cofactor not kept, o (x2 for odd n, x1 for even n), follows the kept
+    one's rules with d = -e (odd n) or n (even n) in place of m: a parity fix
+    adds d, a flip gives d - o and a wrap adds d. A pass's s halvings add
+    K*m to the kept cofactor of t and K*d to its o before dividing by 2^s,
+    so K comes back from the kept one by an exact division with an s-bit
+    quotient. (Rebuilding o from x1*e + x2*n = x3 instead takes a
+    full-size division per cofactor and row, which made a 2048-bit trace
+    about 20 times slower than the three-cofactor loop's.)
+    """
+    if n & 1:
+        m, d = n, -e
+        ou, ov, ot, kt = prev[1], prev[4], prev[7], prev[6]
+    else:
+        m, d = e, n
+        ou, ov, ot, kt = prev[0], prev[3], prev[6], -prev[7]
+    t3p = prev[8]
+    s = (t3p & -t3p).bit_length() - 1  # the pass's halvings
+    if t3p > 0:  # the halved t became u
+        k = ((uc << s) - kt) // m
+        ou = (ot + k * d) >> s
+    else:  # it flipped into v
+        k = (((m - vc) << s) - kt) // m
+        ov = d - ((ot + k * d) >> s)
+    ot = ou - ov if tc == uc - vc else ou - ov + d  # a wrap added m to tc
+    if n & 1:
+        return (uc, ou, u3, vc, ov, v3, tc, ot, t3)
+    return (ou, -uc, u3, ov, -vc, v3, ot, -tc, t3)
+
+
 def stein_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     """Binary extended gcd: halving, addition, subtraction, comparison only.
 
-    Maintains u1*e + u2*n = u3 and v1*e + v2*n = v3; halving an even t3
-    uses the (t1 + n)/2, (t2 - e)/2 parity fix when t1, t2 are not both
-    even.
+    The textbook algorithm (Knuth, TAOCP Vol. 2, 4.5.2, Algorithm Y) keeps
+    three vectors (x1, x2, x3) for x = u, v, t with x1*e + x2*n = x3, and
+    halves an even t3 with the (t1 + n)/2, (t2 - e)/2 parity fix when t1
+    and t2 are not both even. Given x3, one cofactor fixes the other, so
+    the loop carries one, c, with its modulus m:
+
+    - n odd: c = x1 and m = n. With t3 even, t1 even forces t2*n, and so
+      t2, even: "t1 and t2 both even" is "c even".
+    - n even (e is then odd): c = -x2 and m = e. With t3 and n even, t1*e
+      is even, so t1 is: the test is "t2 even", again "c even".
+
+    The fix, the sign flip v = (n - t1, -(e + t2), -t3) and the wrap
+    t1 += n, t2 -= e then read c = (c + m)/2, vc = m - c and c += m. The
+    wrap test t1 < 0 reads t1*e = t3 + c*n < 0 for even n; since |t3| < n
+    after the first pass, that holds exactly when c < 0, or c = 0 and
+    t3 < 0. For odd n, c = 0 forces t3 = 0, so the same test serves.
+
+    The sink still sees all nine columns (_stein_row derives each row from
+    the one before), and the tallies count the three-cofactor algorithm's
+    operations.
     """
     e, n = p.e, p.n
-    u1, u2, u3 = 1, 0, e
-    v1, v2, v3 = n, 1 - e, n
-    if e & 1:
-        t1, t2, t3 = 0, -1, -n
+    if n & 1:
+        m = n
+        uc, vc, tc = 1, n, 0 if e & 1 else 1
     else:
-        t1, t2, t3 = 1, 0, e
+        m = e
+        uc, vc, tc = 0, e - 1, 1
+    u3, v3 = e, n
+    t3 = -n if e & 1 else e
     if sink is not None:
-        sink((u1, u2, u3, v1, v2, v3, t1, t2, t3))
+        row = (1, 0, e, n, 1 - e, n) + ((0, -1, -n) if e & 1 else (1, 0, e))
+        sink(row)
     halvings = fixes = flips = wraps = 0
     # The cap is unreachable: the loop makes at most e.bit_length() +
     # n.bit_length() passes (Stein 1967; Knuth, TAOCP Vol. 2, 4.5.2). After
@@ -281,28 +336,26 @@ def stein_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     # ends the loop.
     cap = 4 * (n.bit_length() + e.bit_length()) + 16
     for its in range(1, cap + 1):
-        while t3 & 1 == 0:
+        while not t3 & 1:
             t3 >>= 1
             halvings += 1
-            if t1 & 1 == 0 and t2 & 1 == 0:
-                t1 >>= 1
-                t2 >>= 1
-            else:
-                t1 = (t1 + n) >> 1
-                t2 = (t2 - e) >> 1
+            if tc & 1:
+                tc = (tc + m) >> 1
                 fixes += 1
+            else:
+                tc >>= 1
         if t3 > 0:
-            u1, u2, u3 = t1, t2, t3
+            uc, u3 = tc, t3
         else:
-            v1, v2, v3 = n - t1, -(e + t2), -t3
+            vc, v3 = m - tc, -t3
             flips += 1
-        t1, t2, t3 = u1 - v1, u2 - v2, u3 - v3
-        if t1 < 0:
-            t1 += n
-            t2 -= e
+        tc, t3 = uc - vc, u3 - v3
+        if tc < 0 or (tc == 0 and t3 < 0):
+            tc += m
             wraps += 1
         if sink is not None:
-            sink((u1, u2, u3, v1, v2, v3, t1, t2, t3))
+            row = _stein_row(e, n, row, uc, u3, vc, v3, tc, t3)
+            sink(row)
         if t3 == 0:
             break
     else:
@@ -317,7 +370,7 @@ def stein_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
         shifts=3 * halvings,
         comparisons=2 * halvings + 4 * its,
     )
-    return _outcome(p, u1, its, ops)
+    return _outcome(p, uc if n & 1 else (u3 + uc * n) // e, its, ops)
 
 
 def gordon_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
@@ -342,11 +395,13 @@ def gordon_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
                 sink((g, u, i, v, 0))
             continue
         s = g.bit_length() - u.bit_length()
-        if u << s > g:
+        us = u << s
+        if us > g:
             s -= 1
+            us >>= 1
         passes += 1
         doublings += s + 1
-        g, u = u, g - (u << s)
+        g, u = u, g - us
         i, v = v, i - (v << s)
         if sink is not None:
             sink((g, u, i, v, 1 << s))

@@ -64,24 +64,29 @@ def _check_float_domain(p: ModPair):
         raise DomainError(f"modulus must be below 2^53, got {p.n}")
 
 
-def _float_scan(s_f: float, d_f: float, epsilon: float, cap: int):
-    """First i in [1, cap] whose r = (i - s_f)/d_f is within epsilon of an
-    integer, evaluated elementwise in binary64. Returns (i, r) or None.
+def _float_scan(e: int, a: int, b: int, epsilon: float):
+    """First i in [1, e] whose r = (i - s_f)/d_f, with s_f = a/e and
+    d_f = b/e, is within epsilon of an integer, evaluated elementwise in
+    binary64. Returns (i, r) or None.
 
-    The array library is imported here, not at module level, so that only
-    a float scan pays for loading it."""
+    The exact index lies in [1, b], one period of (i*e - a) mod b, so the
+    first chunk stops at b when b is below SCAN_CHUNK; the rest are
+    SCAN_CHUNK wide. The values are elementwise, so the chunking does not
+    change (i, r). The array library is imported here, not at module level,
+    so that only a float scan pays for loading it."""
     import numpy as np
 
-    start = 1
-    while start <= cap:
-        stop = min(start + SCAN_CHUNK, cap + 1)
+    s_f = a / e
+    d_f = b / e
+    start, stop = 1, min(b, SCAN_CHUNK) + 1  # b < e
+    while start <= e:
         idx = np.arange(start, stop, dtype=np.float64)
         r = (idx - s_f) / d_f
         hits = np.nonzero(np.abs(r - np.rint(r)) <= epsilon)[0]
         if hits.size:
             j = int(hits[0])
             return start + j, float(r[j])
-        start = stop
+        start, stop = stop, min(stop + SCAN_CHUNK, e + 1)
     return None
 
 
@@ -121,7 +126,7 @@ def _candidates(e: int, a: int, b: int, t: int):
 def _float_hit(e: int, a: int, b: int, epsilon: float):
     """First i in [1, e] whose binary64 r = (float(i) - s_f)/d_f, with
     s_f = a/e and d_f = b/e, is within epsilon of an integer: returns the
-    same (i, r) as _float_scan(s_f, d_f, epsilon, e), or None, but evaluates
+    same (i, r) as _float_scan(e, a, b, epsilon), or None, but evaluates
     r only at indices that can pass.
 
     Error bound. The exact r_i = (i*e - a)/b lies rho_i/b from the nearest
@@ -169,7 +174,7 @@ def _float_hit(e: int, a: int, b: int, epsilon: float):
     d_f = b / e
     t = _threshold(e, b, d_f, epsilon)
     if _falls_back(b, t):
-        return _float_scan(s_f, d_f, epsilon, e)
+        return _float_scan(e, a, b, epsilon)
     for i in _candidates(e, a, b, t):
         r = (float(i) - s_f) / d_f
         if abs(r - round(r)) <= epsilon:

@@ -131,6 +131,77 @@ class TestEuclid:
         assert euclid_inverse(ModPair(3, 10)).d == 7
 
 
+def reference_stein(e, n):
+    """Stein's loop as the textbook writes it, with all three cofactors of
+    u, v and t (the three-cofactor stein_inverse, frozen here). Returns
+    (d, iterations, ops, rows)."""
+    u1, u2, u3 = 1, 0, e
+    v1, v2, v3 = n, 1 - e, n
+    if e & 1:
+        t1, t2, t3 = 0, -1, -n
+    else:
+        t1, t2, t3 = 1, 0, e
+    rows = [(u1, u2, u3, v1, v2, v3, t1, t2, t3)]
+    halvings = fixes = flips = wraps = its = 0
+    while True:
+        its += 1
+        while t3 & 1 == 0:
+            t3 >>= 1
+            halvings += 1
+            if t1 & 1 == 0 and t2 & 1 == 0:
+                t1 >>= 1
+                t2 >>= 1
+            else:
+                t1 = (t1 + n) >> 1
+                t2 = (t2 - e) >> 1
+                fixes += 1
+        if t3 > 0:
+            u1, u2, u3 = t1, t2, t3
+        else:
+            v1, v2, v3 = n - t1, -(e + t2), -t3
+            flips += 1
+        t1, t2, t3 = u1 - v1, u2 - v2, u3 - v3
+        if t1 < 0:
+            t1 += n
+            t2 -= e
+            wraps += 1
+        rows.append((u1, u2, u3, v1, v2, v3, t1, t2, t3))
+        if t3 == 0:
+            break
+    ops = OpCounts(
+        additions=fixes + flips + wraps,
+        subtractions=fixes + 2 * flips + wraps + 3 * its,
+        shifts=3 * halvings,
+        comparisons=2 * halvings + 4 * its,
+    )
+    return u1 % n, its, ops, rows
+
+
+def parity_class_pairs(count, bits, seed):
+    """count coprime pairs with a bits-bit n in each parity class: n odd and
+    e odd, n odd and e even, n even (e then odd)."""
+    rng = random.Random(seed)
+    pairs = []
+    for n_low, e_low in ((1, 1), (1, 0), (0, 1)):
+        drawn = 0
+        while drawn < count:
+            n = (rng.getrandbits(bits) | (1 << (bits - 1))) & ~1 | n_low
+            e = (rng.getrandbits(bits) % n) & ~1 | e_low
+            if 0 < e < n and math.gcd(e, n) == 1:
+                pairs.append(ModPair(e, n))
+                drawn += 1
+    return pairs
+
+
+def assert_stein_matches_reference(p):
+    rows = []
+    o = stein_inverse(p, rows.append)
+    d, its, ops, ref_rows = reference_stein(p.e, p.n)
+    assert (o.d, o.iterations, o.ops) == (d, its, ops), p
+    assert rows == ref_rows, p
+    assert stein_inverse(p) == o, p
+
+
 class TestStein:
     def test_worked_example(self):
         assert stein_inverse(ModPair(7, 60)).d == 43
@@ -149,6 +220,22 @@ class TestStein:
         for p in pairs:
             bits = p.e.bit_length() + p.n.bit_length()
             assert stein_inverse(p).iterations <= bits < 4 * bits + 16, p
+
+    def test_matches_three_cofactor_reference_small(self):
+        # every coprime pair with n <= 300: outcome, tallies and every row.
+        # e = 1 with an even n is where the wrap test's c == 0 clause fires:
+        # there u2 = v2 = 0, so a pass can form t2 = 0 with t3 < 0
+        for n in range(2, 301):
+            for e in range(1, n):
+                if math.gcd(e, n) == 1:
+                    assert_stein_matches_reference(ModPair(e, n))
+
+    @pytest.mark.parametrize("bits", [64, 256, 2048, 4096])
+    def test_matches_three_cofactor_reference_at_key_sizes(self, bits):
+        pairs = parity_class_pairs(6 if bits > 256 else 40, bits, seed=bits)
+        assert {(p.n & 1, p.e & 1) for p in pairs} == {(1, 1), (1, 0), (0, 1)}
+        for p in pairs:
+            assert_stein_matches_reference(p)
 
 
 class TestGordon:

@@ -14,7 +14,7 @@ from modinv import (
     scan_failures,
     ulp_gap,
 )
-from modinv.core import DomainError, ffim_closed_form
+from modinv.core import SCAN_CHUNK, DomainError, ffim_closed_form
 from modinv.floatlab import (
     VERDICT_AGREE,
     VERDICT_WRONG_ANSWER,
@@ -128,10 +128,26 @@ def coprime_pairs(n_max):
                 yield ModPair(e, n)
 
 
+def full_chunk_scan(s_f, d_f, epsilon, cap):
+    """The float scan with every chunk SCAN_CHUNK wide, frozen here as the
+    reference for _float_scan's first chunk and for the candidate scan."""
+    start = 1
+    while start <= cap:
+        stop = min(start + SCAN_CHUNK, cap + 1)
+        idx = np.arange(start, stop, dtype=np.float64)
+        r = (idx - s_f) / d_f
+        hits = np.nonzero(np.abs(r - np.rint(r)) <= epsilon)[0]
+        if hits.size:
+            j = int(hits[0])
+            return start + j, float(r[j])
+        start = stop
+    return None
+
+
 def full_scan(p, epsilon):
-    """_float_scan over every index, as ffim_float_inverse would call it."""
+    """The float scan over every index, as ffim_float_inverse would run it."""
     a, b = (p.n + 1) % p.e, p.n % p.e
-    return _float_scan(a / p.e, b / p.e, epsilon, p.e)
+    return full_chunk_scan(a / p.e, b / p.e, epsilon, p.e)
 
 
 def falls_back(p, epsilon):
@@ -144,7 +160,7 @@ def literal_probe(monkeypatch, p, epsilon):
     the candidate scan and the closed-form exact side."""
     with monkeypatch.context() as m:
         m.setattr(floatlab, "ffim_closed_form", ffim_exact_inverse)
-        m.setattr(floatlab, "_float_hit", lambda e, a, b, eps: _float_scan(a / e, b / e, eps, e))
+        m.setattr(floatlab, "_float_hit", lambda e, a, b, eps: full_chunk_scan(a / e, b / e, eps, e))
         return probe(p, epsilon)
 
 
@@ -207,9 +223,13 @@ class TestCandidateScan:
         fallbacks = 0
         for p in floatscan_pool(1):
             a, b = (p.n + 1) % p.e, p.n % p.e
-            fallbacks += falls_back(p, POOL_EPSILON)
-            assert _float_hit(p.e, a, b, POOL_EPSILON) == full_scan(p, POOL_EPSILON), p
-        assert fallbacks < 20
+            hit = _float_hit(p.e, a, b, POOL_EPSILON)
+            assert hit == full_scan(p, POOL_EPSILON), p
+            if falls_back(p, POOL_EPSILON):
+                # _float_scan's first chunk, [1, b], holds the hit
+                fallbacks += 1
+                assert hit[0] <= b < SCAN_CHUNK, p
+        assert fallbacks == 6
 
     @pytest.mark.parametrize("e,n,epsilon", [
         (10**12 + 39, 2**51 + 2**49 + 12345, 1e-6),  # T about 8.9e8
@@ -248,6 +268,28 @@ class TestCandidateScan:
         assert pr == literal_probe(monkeypatch, p, WRONG_EPSILON)
         with pytest.raises(floatlab.WrongAnswer):
             ffim_float_inverse(p, WRONG_EPSILON)
+
+
+class TestFallbackScan:
+    # _float_scan's first chunk covers [1, b], where the exact index lies;
+    # these pairs find nothing there
+    @pytest.mark.parametrize("e,n,first", [
+        (1002, 776039837081929, 254),  # exact index 67 misses; 67 + b passes
+        (305, 157628349846431, None),  # no index passes
+    ])
+    def test_first_hit_past_b_or_none(self, e, n, first):
+        p = ModPair(e, n)
+        a, b = (n + 1) % e, n % e
+        epsilon = 1e-14
+        assert falls_back(p, epsilon)
+        hit = _float_scan(e, a, b, epsilon)
+        assert hit == full_scan(p, epsilon)
+        if first is None:
+            assert hit is None
+            with pytest.raises(floatlab.MissedTermination):
+                ffim_float_inverse(p, epsilon)
+        else:
+            assert hit[0] == first > b
 
 
 class TestClosedFormExactSide:

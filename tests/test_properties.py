@@ -191,3 +191,19 @@ def test_opcounts_nonnegative_exhaustive():
                     ops.shifts,
                     ops.comparisons,
                 ) >= 0
+
+
+@given(st.one_of(coprime_pairs(2000), key_size_pairs()))
+@settings(max_examples=60, deadline=None)
+def test_stein_rows_keep_bezout_invariants(en):
+    # stein_inverse carries one cofactor per vector and rebuilds the other
+    # for its rows; each rebuilt row must still satisfy x1*e + x2*n = x3
+    e, n = en
+    p = ModPair(e, n)
+    e = p.e
+    rows = []
+    stein_inverse(p, rows.append)
+    for u1, u2, u3, v1, v2, v3, t1, t2, t3 in rows:
+        assert u1 * e + u2 * n == u3
+        assert v1 * e + v2 * n == v3
+        assert t1 * e + t2 * n == t3
