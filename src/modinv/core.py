@@ -166,16 +166,18 @@ def _outcome(p: ModPair, d_raw: int, iterations: int, ops: OpCounts) -> InverseO
 
 RowSink = Callable[[tuple], object]
 
-# The scans test every candidate in order: the first SCAN_PREFIX in Python, so
-# short scans never load numpy, then SCAN_CHUNK at a time in int64 when every
-# value a chunk forms, all below (SCAN_CHUNK + 1) * mod, is below 2^63.
+# A literal scan runs at most SCAN_PREFIX steps untraced and LITERAL_SCAN_LIMIT
+# (above the tracer's row cap) with a sink; past its limit, baghdad and
+# ffim_exact take the terminating index in closed form, with the same outcome
+# and counts. They compute it first when e is above the limit (no scan runs
+# past e steps) and scan only if it lies within.
 SCAN_PREFIX = 1 << 12
-SCAN_CHUNK = 1 << 15
+LITERAL_SCAN_LIMIT = 1 << 20
 
 
 def _scan(m: int, step: int, mod: int, cap: int, emit=None) -> int | None:
     """First j in [1, cap] with m + (j - 1)*step = 0 modulo mod, or None;
-    needs 0 <= m, step < mod. An emit(j, residue) sees each candidate, in Python."""
+    needs 0 <= m, step < mod. An emit(j, residue) sees each candidate."""
     if emit is not None:
         for j in range(1, cap + 1):
             emit(j, m)
@@ -185,30 +187,18 @@ def _scan(m: int, step: int, mod: int, cap: int, emit=None) -> int | None:
             if m >= mod:
                 m -= mod
         return None
-    prefix = cap
-    if cap > SCAN_PREFIX and (SCAN_CHUNK + 1) * mod < 1 << 63:
-        prefix = SCAN_PREFIX
-    for j in range(1, prefix + 1):
+    for j in range(1, cap + 1):
         if not m:
             return j
         m += step
         if m >= mod:
             m -= mod
-    if prefix == cap:
-        return None
-    import numpy as np
-    for start in range(prefix + 1, cap + 1, SCAN_CHUNK):  # m: residue at start
-        size = min(SCAN_CHUNK, cap + 1 - start)
-        x = np.arange(m, m + size * step, step, dtype=np.int64)
-        hit = x // mod * mod == x  # x % mod == 0; numpy floor-divides faster
-        if hit.any():
-            return start + int(hit.argmax())
-        m = (m + size * step) % mod
     return None
 
 
 # sequential, the literal oracle, refuses with ScanBudgetError past this many
-# candidates rather than switch to a closed form. Above the tracer's row cap.
+# candidates rather than switch to a closed form: untraced before it scans,
+# traced once the scan passes it (the tracer's lower row cap stops it first).
 SEQUENTIAL_BUDGET = 1 << 24
 
 
@@ -216,8 +206,10 @@ def sequential_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcom
     """Trivial search: try d = 1, 2, 3, ... until e*d is 1 modulo n."""
     e, n = p.e, p.n
     emit = None if sink is None else lambda d, m: sink((d, (m + 1) % n))
-    d = _scan(e - 1, e, n, min(n - 1, SEQUENTIAL_BUDGET), emit)  # e*d - 1 mod n
-    if d is None and n - 1 > SEQUENTIAL_BUDGET:
+    cap = min(n - 1, SEQUENTIAL_BUDGET)
+    refused = sink is None and cap < n - 1 and pow(e, -1, n) > cap
+    d = None if refused else _scan(e - 1, e, n, cap, emit)  # e*d - 1 mod n
+    if d is None and cap < n - 1:
         raise ScanBudgetError(
             f"sequential scan passed SEQUENTIAL_BUDGET = {SEQUENTIAL_BUDGET} steps"
         )
@@ -417,12 +409,6 @@ def gordon_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     return _outcome(p, i, swaps + passes, ops)
 
 
-# Above this many scan steps the accumulator loops below switch to the
-# closed-form terminating index (the scans' step counts reach e - 1, which
-# is astronomically large for cryptographic-size random operands).
-LITERAL_SCAN_LIMIT = 1 << 20
-
-
 def _smallest_k(e: int, n: int) -> int:
     """Smallest k >= 1 with e dividing 1 + k*n (exists since gcd(e,n)=1)."""
     return -pow(n, -1, e) % e
@@ -436,8 +422,9 @@ def baghdad_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     divisibility by e instead of testing a real number for integrality.
     """
     e, n = p.e, p.n
-    k = _smallest_k(e, n) if e > LITERAL_SCAN_LIMIT else 0
-    if k <= LITERAL_SCAN_LIMIT:
+    limit = SCAN_PREFIX if sink is None else LITERAL_SCAN_LIMIT
+    k = _smallest_k(e, n) if e > limit else 0
+    if k <= limit:
         step = n % e
         emit = None if sink is None else lambda k, m: sink(
             (Fraction(1 + k * n, e), "fraction" if m else "integer")
@@ -456,37 +443,16 @@ def _ffim_index(e: int, n: int, a: int, b: int) -> int:
     return ((_smallest_k(e, n) - 1) * b + a) // e
 
 
-def ffim_exact_inverse(
-    p: ModPair, sink: RowSink | None = None, scan_limit: int = LITERAL_SCAN_LIMIT
-) -> InverseOutcome:
-    """Fraction-integer scan in exact integer arithmetic.
-
-    With a = (n+1) mod e and b = n mod e, finds the smallest i >= 1 such
-    that b divides i*e - a, sets r = (i*e - a)/b, and closes with
-    d = (n*(r+1) + 1)/e. The a = 0 case is already solved: d = (n+1)/e.
-    The scan tests every i in order when the terminating index is at most
-    scan_limit; beyond that the index comes in closed form, with the same
-    outcome and counts.
-    """
+def _ffim_outcome(p: ModPair, a: int, b: int, i: int) -> InverseOutcome:
+    """Close the fraction-integer scan at its terminating index i, checking
+    both divisions; a = 0 is already solved, with d = (n+1)/e at i = 0."""
     e, n = p.e, p.n
-    a = (n + 1) % e
-    b = n % e  # nonzero unless e = 1, where a = 0 too
     if a == 0:
         return _outcome(p, (n + 1) // e, 0, OpCounts())
-    i = _ffim_index(e, n, a, b) if e > scan_limit else 0
-    if i <= scan_limit:
-        emit = None
-        if sink is not None:
-            s_f, d_f = Fraction(a, e), Fraction(b, e)  # the same in every row
-            emit = lambda i, m: sink((i, s_f, d_f, Fraction(i * e - a, b)))
-        i = _scan((e - a) % b, e % b, b, e, emit)  # (i*e - a) mod b
-        if i is None:
-            raise InternalConsistencyError("fraction-integer scan passed e steps")
     num = i * e - a
     if num % b:
         raise InternalConsistencyError("terminating index does not divide evenly")
-    r = num // b
-    d_num = n * (r + 1) + 1
+    d_num = n * (num // b + 1) + 1
     if d_num % e:
         raise InternalConsistencyError("closing formula numerator not divisible by e")
     # per pass: one subtraction and one division forming r, one integrality
@@ -495,10 +461,39 @@ def ffim_exact_inverse(
     return _outcome(p, d_num // e, i, ops)
 
 
+def ffim_exact_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
+    """Fraction-integer scan in exact integer arithmetic.
+
+    With a = (n+1) mod e and b = n mod e, finds the smallest i >= 1 such
+    that b divides i*e - a, sets r = (i*e - a)/b, and closes with
+    d = (n*(r+1) + 1)/e. The scan tests every i in order when the
+    terminating index is within the literal limit; beyond it the index
+    comes in closed form, with the same outcome and counts.
+    """
+    e, n = p.e, p.n
+    a = (n + 1) % e
+    b = n % e  # nonzero unless e = 1, where a = 0 too
+    if a == 0:
+        return _ffim_outcome(p, a, b, 0)
+    limit = SCAN_PREFIX if sink is None else LITERAL_SCAN_LIMIT
+    i = _ffim_index(e, n, a, b) if e > limit else 0
+    if i <= limit:
+        emit = None
+        if sink is not None:
+            s_f, d_f = Fraction(a, e), Fraction(b, e)  # the same in every row
+            emit = lambda i, m: sink((i, s_f, d_f, Fraction(i * e - a, b)))
+        i = _scan((e - a) % b, e % b, b, e, emit)  # (i*e - a) mod b
+        if i is None:
+            raise InternalConsistencyError("fraction-integer scan passed e steps")
+    return _ffim_outcome(p, a, b, i)
+
+
 def ffim_closed_form(p: ModPair) -> InverseOutcome:
     """ffim_exact_inverse(p) with the terminating index always taken in closed
     form: the same outcome, counts included, in O(log n) time."""
-    return ffim_exact_inverse(p, scan_limit=0)
+    e, n = p.e, p.n
+    a, b = (n + 1) % e, n % e
+    return _ffim_outcome(p, a, b, _ffim_index(e, n, a, b) if a else 0)
 
 
 class AlgorithmId(enum.Enum):

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    SCAN_CHUNK,
     DomainError,
     InverseOutcome,
     ModPair,
@@ -26,6 +25,7 @@ from .core import (
 )
 
 MAX_EXACT_FLOAT = 1 << 53  # integers below this are exact in binary64
+SCAN_CHUNK = 1 << 15  # indices per array pass of _float_scan
 
 VERDICT_AGREE = "agree"
 VERDICT_WRONG_ANSWER = "wrong_answer"

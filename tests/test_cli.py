@@ -285,6 +285,8 @@ class TestStartup:
         commands = [
             ["inverse", "--e", "7", "--n", "60"],
             ["inverse", "--e", "4094", "--n", "4095"],
+            # d = 310127, k = 202922 and i = 107205: every scan passes 2^12
+            ["inverse", "--e", "654321", "--n", "1000003"],
             ["trace", "--e", "7", "--n", "60", "--alg", "ffim_exact", "--format", "json"],
             ["bench", "--bits", "10", "--samples", "5", "--seed", "7", "--reps", "1",
              "--algs", "euclid", "--out", str(tmp_path / "r.csv")],

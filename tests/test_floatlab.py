@@ -14,8 +14,9 @@ from modinv import (
     scan_failures,
     ulp_gap,
 )
-from modinv.core import SCAN_CHUNK, DomainError, ffim_closed_form
+from modinv.core import DomainError, ffim_closed_form
 from modinv.floatlab import (
+    SCAN_CHUNK,
     VERDICT_AGREE,
     VERDICT_WRONG_ANSWER,
     _candidates,

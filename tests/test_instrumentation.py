@@ -103,8 +103,9 @@ class TestTracedInverse:
 
 
     def test_long_scans_match_untraced(self):
-        # Past SCAN_PREFIX steps an untraced scan runs the int64 kernel while
-        # a traced one stays in Python; both must give the same outcome.
+        # Past SCAN_PREFIX steps an untraced baghdad or ffim_exact takes the
+        # closed form while a traced one stays literal; both must give the
+        # same outcome.
         q = 200003  # prime; each pair below stops at step 199999 or 200003
         e = 3 * q + pow(199999, -1, q)  # ffim_exact: b = n mod e = q
         cases = [

@@ -1,22 +1,21 @@
 """The shared residue scan behind sequential, baghdad and ffim_exact.
 
 Outcomes are compared with a frozen copy of the three literal loops as they
-were before the scans moved into one helper with a chunked int64 kernel:
-exhaustively for n <= 512, and on constructed pairs whose first hit lands at
-the end of the Python prefix, at each chunk boundary and at the cap, on both
-sides of the int64 guard, and with 2048-bit operands.
+were before the scans moved into one helper: exhaustively for n <= 512, and
+on constructed pairs whose first hit lands on either side of the untraced
+literal limit SCAN_PREFIX, well past it and at the cap, and with 2048-bit
+operands. The path tests check which of the literal scan and the closed form
+each run takes.
 """
 
 import math
 import random
 
-import numpy as np
 import pytest
 
-from modinv import ModPair, baghdad_inverse, ffim_exact_inverse, sequential_inverse
+from modinv import ModPair, baghdad_inverse, core, ffim_exact_inverse, sequential_inverse
 from modinv.core import (
     LITERAL_SCAN_LIMIT,
-    SCAN_CHUNK,
     SCAN_PREFIX,
     SEQUENTIAL_BUDGET,
     DomainError,
@@ -27,6 +26,7 @@ from modinv.core import (
     _ffim_index,
     _scan,
     _smallest_k,
+    run_exhaustive_validation,
 )
 from modinv.instrumentation import MAX_TRACE_ROWS
 
@@ -138,9 +138,10 @@ def ffim_pair(j, b, t=3, s=5):
     return ModPair(e, e * s + b)
 
 
-# the first candidates the kernel tests, and both sides of each chunk edge
+# both sides of the untraced literal limit, then hits well past it, where
+# untraced baghdad and ffim_exact take the closed form and sequential scans on
 EDGES = [SCAN_PREFIX - 1, SCAN_PREFIX, SCAN_PREFIX + 1]
-EDGES += [SCAN_PREFIX + c * SCAN_CHUNK + o for c in (1, 2) for o in (0, 1)]
+EDGES += [c * SCAN_PREFIX + o for c in (9, 17) for o in (0, 1)]
 PRIME = 100003  # above every edge
 
 
@@ -182,38 +183,51 @@ def test_scan_hit_and_miss_at_cap(j, cap):
     assert _scan(m, step, PRIME, cap) == (j if j <= cap else None)
 
 
-GUARD = ((1 << 63) - 1) // (SCAN_CHUNK + 1)  # largest modulus the kernel takes
+def refuse(*args):
+    raise AssertionError("this path must not run")
 
 
-def coprime_index(mod, start):
-    return next(j for j in range(start, start + 1000) if math.gcd(j, mod) == 1)
+def test_validation_never_takes_the_closed_form(monkeypatch):
+    monkeypatch.setattr(core, "_smallest_k", refuse)
+    assert run_exhaustive_validation(64) == (1259, None)
 
 
-@pytest.mark.parametrize("mod,kernel", [(GUARD, True), (GUARD + 1, False)])
-def test_int64_guard(monkeypatch, mod, kernel):
-    calls = []
-    arange = np.arange
+@pytest.mark.parametrize("j", [SCAN_PREFIX - 1, SCAN_PREFIX])
+def test_untraced_scans_within_the_prefix_are_literal(monkeypatch, j):
+    hits = []
+    scan = core._scan
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return arange(*args, **kwargs)
+    def recording(*args):
+        hits.append(scan(*args))
+        return hits[-1]
 
-    monkeypatch.setattr(np, "arange", counting)
-    j = coprime_index(mod, SCAN_PREFIX + SCAN_CHUNK + 1000)  # in the second chunk
-    assert_same(sequential_inverse, frozen_sequential, sequential_pair(j, mod), j)
-    assert_same(baghdad_inverse, frozen_baghdad, baghdad_pair(j, mod), j)
-    assert_same(ffim_exact_inverse, frozen_ffim_exact, ffim_pair(j, mod), j)
-    assert bool(calls) == kernel
+    monkeypatch.setattr(core, "_scan", recording)
+    assert_same(baghdad_inverse, frozen_baghdad, baghdad_pair(j, PRIME), j)
+    assert_same(ffim_exact_inverse, frozen_ffim_exact, ffim_pair(j, PRIME), j)
+    assert hits == [j, j]
+
+
+def test_untraced_scans_past_the_prefix_take_the_closed_form(monkeypatch):
+    monkeypatch.setattr(core, "_scan", refuse)
+    j = SCAN_PREFIX + 1
+    assert_same(baghdad_inverse, frozen_baghdad, baghdad_pair(j, PRIME), j)
+    assert_same(ffim_exact_inverse, frozen_ffim_exact, ffim_pair(j, PRIME), j)
 
 
 def test_literal_branch_with_2048_bit_operands():
     rng = random.Random(2048)
-    for j in (1, SCAN_PREFIX + 1, SCAN_PREFIX + SCAN_CHUNK + 7, LITERAL_SCAN_LIMIT):
+    for j in (1, SCAN_PREFIX, SCAN_PREFIX + 1, 9 * SCAN_PREFIX + 7, LITERAL_SCAN_LIMIT):
         big = rng.getrandbits(2048) | (1 << 2047) | 1
         while math.gcd(j, big) != 1:
             big += 2
-        assert_same(baghdad_inverse, frozen_baghdad, baghdad_pair(j, big), j)
-        assert_same(ffim_exact_inverse, frozen_ffim_exact, ffim_pair(j, big), j)
+        for new, frozen, p in (
+            (baghdad_inverse, frozen_baghdad, baghdad_pair(j, big)),
+            (ffim_exact_inverse, frozen_ffim_exact, ffim_pair(j, big)),
+        ):
+            assert_same(new, frozen, p, j)
+            if j == SCAN_PREFIX + 1:  # past the untraced limit, a sink keeps it literal
+                rows = []
+                assert new(p, rows.append) == frozen(p) and len(rows) == j
     for _ in range(20):  # random operands: the closed forms
         n = rng.getrandbits(2048) | 1
         e = rng.randrange(2, n)
@@ -257,3 +271,10 @@ def test_sequential_budget():
     assert isinstance(refusal.value, DomainError)
     n = SEQUENTIAL_BUDGET + 1  # d = SEQUENTIAL_BUDGET is still scanned
     assert sequential_inverse(ModPair(n - 1, n)).iterations == SEQUENTIAL_BUDGET
+
+
+def test_sequential_refuses_before_scanning(monkeypatch):
+    monkeypatch.setattr(core, "_scan", refuse)
+    n = 3 * SEQUENTIAL_BUDGET + 1  # d = 2*SEQUENTIAL_BUDGET + 1
+    with pytest.raises(ScanBudgetError, match="SEQUENTIAL_BUDGET = 16777216"):
+        sequential_inverse(ModPair(3, n))
