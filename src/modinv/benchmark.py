@@ -225,20 +225,21 @@ def _parse_field(name: str, raw) -> object:
 
 
 def parse_report(text: str, format: str = "csv") -> BenchReport:
-    """Inverse of emit_report for both formats."""
-    rows = []
+    """Inverse of emit_report for both formats; a malformed report raises
+    DomainError."""
     if format == "csv":
         reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header != _CSV_FIELDS:
+        if next(reader, None) != _CSV_FIELDS:
             raise DomainError("unexpected CSV header")
-        for record in reader:
-            values = {f: _parse_field(f, raw) for f, raw in zip(_CSV_FIELDS, record)}
-            rows.append(BenchRow(**values))
-    elif format == "json":
-        for obj in json.loads(text)["rows"]:
-            values = {f: _parse_field(f, obj[f]) for f in _CSV_FIELDS}
-            rows.append(BenchRow(**values))
-    else:
+        records = (dict(zip(_CSV_FIELDS, record)) for record in reader)
+    elif format != "json":
         raise DomainError(f"unknown report format: {format!r}")
-    return BenchReport(rows=tuple(rows))
+    try:
+        if format == "json":
+            records = json.loads(text)["rows"]
+        rows = tuple(
+            BenchRow(**{f: _parse_field(f, obj[f]) for f in _CSV_FIELDS}) for obj in records
+        )
+    except (csv.Error, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {format} report: {exc!r}") from exc
+    return BenchReport(rows=rows)

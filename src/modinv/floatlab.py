@@ -25,7 +25,6 @@ from .core import (
 )
 
 MAX_EXACT_FLOAT = 1 << 53  # integers below this are exact in binary64
-SCAN_CHUNK = 1 << 15  # indices per array pass of _float_scan
 
 VERDICT_AGREE = "agree"
 VERDICT_WRONG_ANSWER = "wrong_answer"
@@ -64,38 +63,12 @@ def _check_float_domain(p: ModPair):
         raise DomainError(f"modulus must be below 2^53, got {p.n}")
 
 
-def _float_scan(e: int, a: int, b: int, epsilon: float):
-    """First i in [1, e] whose r = (i - s_f)/d_f, with s_f = a/e and
-    d_f = b/e, is within epsilon of an integer, evaluated elementwise in
-    binary64. Returns (i, r) or None.
-
-    The exact index lies in [1, b], one period of (i*e - a) mod b, so the
-    first chunk stops at b when b is below SCAN_CHUNK; the rest are
-    SCAN_CHUNK wide. The values are elementwise, so the chunking does not
-    change (i, r). The array library is imported here, not at module level,
-    so that only a float scan pays for loading it."""
-    import numpy as np
-
-    s_f = a / e
-    d_f = b / e
-    start, stop = 1, min(b, SCAN_CHUNK) + 1  # b < e
-    while start <= e:
-        idx = np.arange(start, stop, dtype=np.float64)
-        r = (idx - s_f) / d_f
-        hits = np.nonzero(np.abs(r - np.rint(r)) <= epsilon)[0]
-        if hits.size:
-            j = int(hits[0])
-            return start + j, float(r[j])
-        start, stop = stop, min(stop + SCAN_CHUNK, e + 1)
-    return None
-
-
 # The candidate scan's safety factor on the rounding-error bound; the number
-# of indices per candidate, and the number of progressions, past which it
-# hands over to _float_scan.
+# of indices per candidate, and the number of progressions, past which
+# _float_hit tests every index instead.
 ERROR_SAFETY = 8
-CANDIDATE_SPARSITY = 64
-MAX_PROGRESSIONS = SCAN_CHUNK // 16
+CANDIDATE_SPARSITY = 4
+MAX_PROGRESSIONS = 1 << 20
 UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -106,7 +79,8 @@ def _threshold(e: int, b: int, d_f: float, epsilon: float) -> int:
 
 
 def _falls_back(b: int, t: int) -> bool:
-    """Whether _float_hit hands threshold t over to _float_scan."""
+    """Whether _float_hit tests every index instead of the candidates for
+    threshold t."""
     return CANDIDATE_SPARSITY * (2 * t + 1) >= b or 2 * t + 1 > MAX_PROGRESSIONS
 
 
@@ -125,9 +99,10 @@ def _candidates(e: int, a: int, b: int, t: int):
 
 def _float_hit(e: int, a: int, b: int, epsilon: float):
     """First i in [1, e] whose binary64 r = (float(i) - s_f)/d_f, with
-    s_f = a/e and d_f = b/e, is within epsilon of an integer: returns the
-    same (i, r) as _float_scan(e, a, b, epsilon), or None, but evaluates
-    r only at indices that can pass.
+    s_f = a/e and d_f = b/e, is within epsilon of an integer: returns (i, r)
+    or None. One loop evaluates r, either at the candidates, the indices
+    that can pass, or at every index (Fallback); r is elementwise, so both
+    give the same (i, r).
 
     Error bound. The exact r_i = (i*e - a)/b lies rho_i/b from the nearest
     integer, where rho_i = min(m, b - m) and m = (i*e - a) mod b. In the
@@ -146,36 +121,39 @@ def _float_hit(e: int, a: int, b: int, epsilon: float):
     that: e/d_f is e^2/b to within a factor 1 + u, so c = 8 against the
     bound's 3 leaves a margin of about 5*e^2 in units of rho, which covers
     the O(u) terms and the roundings in computing T (relative 5u on a value
-    below b/128 < 2^46); the + 1 covers the floor. Every passing index thus
+    below b/8 < 2^50); the + 1 covers the floor. Every passing index thus
     has rho_i < T.
 
     Candidates. gcd(e, b) = gcd(e, n) = 1, so each residue s in [-T, T] is
     one progression i = (a + s)*e^-1 (mod b) with step b. Their 2T + 1
     offsets in [1, b] are distinct, so sorted once they list every candidate
     in increasing order, one block of b indices at a time: about
-    (2T + 1)*e/b evaluations of the expression _float_scan evaluates.
+    (2T + 1)*e/b evaluations instead of e.
 
-    Fallback. _float_scan tests every index instead (_falls_back) in two
-    cases. The first is CANDIDATE_SPARSITY*(2T + 1) >= b, that is more than
-    one index in 64 is a candidate: every b <= 192 and a large epsilon. One
-    candidate, evaluated in Python, costs about as much as 45 to 60 indices
-    of the chunked scan (0.5-0.9 us against 11-15 ns on a Xeon, Python
-    3.11.7, numpy 2.4.6), so the candidates cost at most about what the
-    chunked scan costs when both run to e. The second is 2T + 1 >
-    MAX_PROGRESSIONS = 2048, that is a large e: with a small epsilon,
-    T is about 8*u*e^2, which passes 1024 near e = 1.1e9 and reaches 9e8 at
-    e = 1e12. Listing the offsets costs about 0.23 us each, so 2048 of them
-    cost about as much as one 2^15-wide chunk of _float_scan (0.46 ms), the
-    least the fallback spends, and hold far less memory than its arrays.
-    Past that bound their number grows as e^2: at e = 1e12 it would be
-    about 1.8e9 Python ints.
+    Fallback. The loop runs over every index instead (_falls_back) in two
+    cases; costs are best of 3 on one CPU of a Xeon, Python 3.11.7. The
+    first is CANDIDATE_SPARSITY*(2T + 1) >= b, that is more than one index
+    in 4 is a candidate: every b <= 12 at T = 1, and a large epsilon. One
+    index costs about 0.3 us. One candidate costs about 0.65 us: 0.4 us to
+    list its offset, since all 2T + 1 are listed up front, and 0.23 us to
+    evaluate it. Both loops stop at the first hit, which lies near the exact
+    index, on average b/2, so they break even near 2T + 1 = b/3. Measured
+    over seeded pairs, testing every index took 1.7-1.8 times as long as the
+    candidates at b = 4*(2T + 1) with T in the tens or thousands, and about
+    as long with T = 1, where pow and the generator add a fixed 2-3 us; at
+    b = 32*(2T + 1) it took 3 to 16 times as long. The
+    second is 2T + 1 > MAX_PROGRESSIONS = 2^20, that is a large e: with a
+    small epsilon, T is about 8*u*e^2, which passes 2^19 near e = 2.4e10
+    and reaches 9e8 at e = 1e12. At the cap the sorted offsets take 0.44 s
+    and 44 MiB, and past it their number grows as e^2. Testing every index
+    holds O(1) memory but costs about b/2 indices to the first hit, around
+    half an hour at e = 2.4e10 and b = e/2, so the cap bounds only memory.
     """
     s_f = a / e
     d_f = b / e
     t = _threshold(e, b, d_f, epsilon)
-    if _falls_back(b, t):
-        return _float_scan(e, a, b, epsilon)
-    for i in _candidates(e, a, b, t):
+    indices = range(1, e + 1) if _falls_back(b, t) else _candidates(e, a, b, t)
+    for i in indices:
         r = (float(i) - s_f) / d_f
         if abs(r - round(r)) <= epsilon:
             return i, r

@@ -128,3 +128,14 @@ class TestEmitReport:
     def test_unknown_format(self):
         with pytest.raises(DomainError):
             emit_report(self._report(), "xml")
+
+    @pytest.mark.parametrize("text,format", [
+        ("", "csv"),
+        (CSV_HEADER + "\neuclid,10\n", "csv"),
+        (CSV_HEADER + "\neuclid,10,random_coprime,5" + ",x" * 11 + "\n", "csv"),
+        ('{"rows": [{"algorithm": "euclid"}]}', "json"),
+        ("not json", "json"),
+    ], ids=["empty", "short_row", "non_numeric_cell", "missing_key", "not_json"])
+    def test_malformed_report_raises_domain_error(self, text, format):
+        with pytest.raises(DomainError):
+            parse_report(text, format)

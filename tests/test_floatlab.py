@@ -16,12 +16,10 @@ from modinv import (
 )
 from modinv.core import DomainError, ffim_closed_form
 from modinv.floatlab import (
-    SCAN_CHUNK,
     VERDICT_AGREE,
     VERDICT_WRONG_ANSWER,
     _candidates,
     _float_hit,
-    _float_scan,
     _threshold,
     failure_report_from_json,
     failure_report_to_json,
@@ -129,12 +127,15 @@ def coprime_pairs(n_max):
                 yield ModPair(e, n)
 
 
+REFERENCE_CHUNK = 1 << 15  # indices per array pass of full_chunk_scan
+
+
 def full_chunk_scan(s_f, d_f, epsilon, cap):
-    """The float scan with every chunk SCAN_CHUNK wide, frozen here as the
-    reference for _float_scan's first chunk and for the candidate scan."""
+    """The float scan over every index in numpy chunks, an independent
+    reference for _float_hit, frozen here from an earlier chunked version."""
     start = 1
     while start <= cap:
-        stop = min(start + SCAN_CHUNK, cap + 1)
+        stop = min(start + REFERENCE_CHUNK, cap + 1)
         idx = np.arange(start, stop, dtype=np.float64)
         r = (idx - s_f) / d_f
         hits = np.nonzero(np.abs(r - np.rint(r)) <= epsilon)[0]
@@ -207,30 +208,26 @@ class TestCandidateScan:
 
     @pytest.mark.parametrize("sparsity", [1, 4])
     def test_same_hit_as_full_scan_small_pairs(self, monkeypatch, sparsity):
-        # b = n mod e < n/2 <= 150 here, so every pair falls back at the
-        # default sparsity; sparsity 1 sends every pair with 2T + 1 < b to the
-        # candidates
+        # 4 is the default; sparsity 1 sends every pair with 2T + 1 < b to
+        # the candidates. Both paths are compared with the reference.
         monkeypatch.setattr(floatlab, "CANDIDATE_SPARSITY", sparsity)
-        checked = 0
+        paths = {False: 0, True: 0}
         for epsilon in (1e-3, 1e-6, 1e-9, 1e-11, 1e-15):
             for p in coprime_pairs(300):
                 a, b = (p.n + 1) % p.e, p.n % p.e
-                if a and not falls_back(p, epsilon):
+                if a:
                     assert _float_hit(p.e, a, b, epsilon) == full_scan(p, epsilon), (p, epsilon)
-                    checked += 1
-        assert checked > 50_000
+                    paths[falls_back(p, epsilon)] += 1
+        assert min(paths.values()) > 10_000, paths
 
     def test_same_hit_as_full_scan_on_floatscan_pool(self):
-        fallbacks = 0
-        for p in floatscan_pool(1):
-            a, b = (p.n + 1) % p.e, p.n % p.e
-            hit = _float_hit(p.e, a, b, POOL_EPSILON)
-            assert hit == full_scan(p, POOL_EPSILON), p
-            if falls_back(p, POOL_EPSILON):
-                # _float_scan's first chunk, [1, b], holds the hit
-                fallbacks += 1
-                assert hit[0] <= b < SCAN_CHUNK, p
-        assert fallbacks == 6
+        # T = 1 here, and no pair of either pool has b <= 4*(2T + 1), so
+        # every one takes the candidates
+        for seed in (1, 2):
+            for p in floatscan_pool(seed):
+                a, b = (p.n + 1) % p.e, p.n % p.e
+                assert not falls_back(p, POOL_EPSILON), p
+                assert _float_hit(p.e, a, b, POOL_EPSILON) == full_scan(p, POOL_EPSILON), p
 
     @pytest.mark.parametrize("e,n,epsilon", [
         (10**12 + 39, 2**51 + 2**49 + 12345, 1e-6),  # T about 8.9e8
@@ -238,7 +235,7 @@ class TestCandidateScan:
     ])
     def test_large_e_falls_back(self, e, n, epsilon):
         # T grows as 8*u*e^2: at a large e the candidates are sparse but the
-        # progressions too many to list, so the chunked scan takes over
+        # progressions too many to list, so every index is tested
         p = ModPair(e, n)
         a, b = (n + 1) % e, n % e
         t = _threshold(e, b, b / e, epsilon)
@@ -247,6 +244,17 @@ class TestCandidateScan:
         assert falls_back(p, epsilon)
         hit = _float_hit(e, a, b, epsilon)
         assert hit is not None and hit == full_scan(p, epsilon)
+
+    def test_mid_cap_pair_takes_the_candidates(self):
+        # 2T + 1 = 44411 offsets are listed in milliseconds, where testing
+        # every index up to the hit at 14972935 would take seconds
+        e, n, epsilon = 5000000029, 3377700708182193, 1e-12
+        p = ModPair(e, n)
+        a, b = (n + 1) % e, n % e
+        t = _threshold(e, b, b / e, epsilon)
+        assert t == 22205 and not falls_back(p, epsilon)
+        hit = _float_hit(e, a, b, epsilon)
+        assert hit == full_scan(p, epsilon) == (14972935, 108721457.0)
 
     def test_progression_bound_is_exact(self):
         # b is large enough that only the number of progressions decides
@@ -272,19 +280,23 @@ class TestCandidateScan:
 
 
 class TestFallbackScan:
-    # _float_scan's first chunk covers [1, b], where the exact index lies;
-    # these pairs find nothing there
+    # the exact index lies in [1, b]; these pairs find nothing there
     @pytest.mark.parametrize("e,n,first", [
         (1002, 776039837081929, 254),  # exact index 67 misses; 67 + b passes
         (305, 157628349846431, None),  # no index passes
+        (1507, 892224166445855, 523),  # b = 12 falls back; exact index 7 misses
     ])
-    def test_first_hit_past_b_or_none(self, e, n, first):
+    def test_first_hit_past_b_or_none(self, monkeypatch, e, n, first):
         p = ModPair(e, n)
         a, b = (n + 1) % e, n % e
         epsilon = 1e-14
-        assert falls_back(p, epsilon)
-        hit = _float_scan(e, a, b, epsilon)
+        assert falls_back(p, epsilon) == (b <= 12)
+        hit = _float_hit(e, a, b, epsilon)
         assert hit == full_scan(p, epsilon)
+        # sparsity b sends every pair to the every-index loop
+        monkeypatch.setattr(floatlab, "CANDIDATE_SPARSITY", b)
+        assert falls_back(p, epsilon)
+        assert _float_hit(e, a, b, epsilon) == hit
         if first is None:
             assert hit is None
             with pytest.raises(floatlab.MissedTermination):
