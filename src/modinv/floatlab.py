@@ -132,7 +132,7 @@ def _float_hit(e: int, a: int, b: int, epsilon: float):
 
     Fallback. The loop runs over every index instead (_falls_back) in two
     cases; costs are best of 3 on one CPU of a Xeon, Python 3.11.7. The
-    first is CANDIDATE_SPARSITY*(2T + 1) >= b, that is more than one index
+    first is CANDIDATE_SPARSITY*(2T + 1) >= b, that is at least one index
     in 4 is a candidate: every b <= 12 at T = 1, and a large epsilon. One
     index costs about 0.3 us. One candidate costs about 0.65 us: 0.4 us to
     list its offset, since all 2T + 1 are listed up front, and 0.23 us to
