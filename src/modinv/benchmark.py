@@ -17,20 +17,20 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .core import AlgorithmId, DomainError, ModPair, OpCounts, verify_inverse
+from .core import (
+    AlgorithmId,
+    BenchmarkError,
+    DomainError,
+    GenerationError,
+    ModPair,
+    OpCounts,
+    verify_inverse,
+)
 
 RANDOM_COPRIME = "random_coprime"
 
 # Small public exponents conventionally favoured for public keys.
 SMALL_E_PRESET = (3, 5, 17, 257, 65537)
-
-
-class GenerationError(RuntimeError):
-    """Workload generation could not find a coprime companion."""
-
-
-class BenchmarkError(RuntimeError):
-    """A measured result failed verification."""
 
 
 @dataclass(frozen=True)
@@ -227,15 +227,16 @@ def _parse_field(name: str, raw) -> object:
 def parse_report(text: str, format: str = "csv") -> BenchReport:
     """Inverse of emit_report for both formats; a malformed report raises
     DomainError."""
-    if format == "csv":
-        reader = csv.reader(io.StringIO(text))
-        if next(reader, None) != _CSV_FIELDS:
-            raise DomainError("unexpected CSV header")
-        records = (dict(zip(_CSV_FIELDS, record)) for record in reader)
-    elif format != "json":
+    if format not in ("csv", "json"):
         raise DomainError(f"unknown report format: {format!r}")
     try:
-        if format == "json":
+        if format == "csv":
+            reader = csv.reader(io.StringIO(text))
+            if next(reader, None) != _CSV_FIELDS:
+                raise ValueError("unexpected CSV header")
+            # a row with too few or too many cells raises ValueError
+            records = (dict(zip(_CSV_FIELDS, record, strict=True)) for record in reader)
+        else:
             records = json.loads(text)["rows"]
         rows = tuple(
             BenchRow(**{f: _parse_field(f, obj[f]) for f in _CSV_FIELDS}) for obj in records

@@ -10,26 +10,21 @@ import argparse
 import sys
 
 from . import __version__
-from .benchmark import (
-    RANDOM_COPRIME,
-    BenchmarkError,
-    GenerationError,
-    WorkloadSpec,
-    emit_report,
-    generate_workload,
-    run_benchmark,
-)
+
+# Only core is imported here: the trace, bench and scan-float handlers import
+# their own module, so the other commands start without loading it.
 from .core import (
     EXACT_ALGORITHMS,
     AlgorithmId,
+    BenchmarkError,
     DomainError,
+    GenerationError,
     ModPair,
     NoInverseError,
+    TraceTooLongError,
     rsa_toy_keygen,
     run_exhaustive_validation,
 )
-from .floatlab import failure_report_to_json, scan_failures
-from .instrumentation import TraceTooLongError, render_trace, traced_inverse
 
 
 def parse_int(text: str) -> int:
@@ -75,6 +70,8 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .instrumentation import render_trace, traced_inverse
+
     try:
         p = ModPair(args.e, args.n)
     except NoInverseError as err:
@@ -96,6 +93,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .benchmark import (
+        RANDOM_COPRIME,
+        WorkloadSpec,
+        emit_report,
+        generate_workload,
+        run_benchmark,
+    )
+
     e_mode = args.e_fixed if args.e_fixed is not None else RANDOM_COPRIME
     spec = WorkloadSpec(
         n_bits=args.bits, samples=args.samples, e_mode=e_mode, seed=args.seed
@@ -115,6 +120,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_scan_float(args) -> int:
+    from .floatlab import failure_report_to_json, scan_failures
+
     report = scan_failures(
         e_min=args.e_min,
         e_max=args.e_max,

@@ -19,7 +19,6 @@ import enum
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -42,6 +41,21 @@ class InternalConsistencyError(RuntimeError):
 
 class ScanBudgetError(DomainError):
     """A literal scan was refused: it passed its step budget."""
+
+
+# The errors of the tracer and the benchmark harness live here too, so the CLI
+# can map them to exit codes without importing either module.
+class TraceTooLongError(RuntimeError):
+    """Tracing refused: the run would record more than
+    instrumentation.MAX_TRACE_ROWS rows."""
+
+
+class GenerationError(RuntimeError):
+    """Workload generation could not find a coprime companion."""
+
+
+class BenchmarkError(RuntimeError):
+    """A measured result failed verification."""
 
 
 def gcd(a: int, b: int) -> int:
@@ -426,9 +440,13 @@ def baghdad_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     k = _smallest_k(e, n) if e > limit else 0
     if k <= limit:
         step = n % e
-        emit = None if sink is None else lambda k, m: sink(
-            (Fraction(1 + k * n, e), "fraction" if m else "integer")
-        )
+        emit = None
+        if sink is not None:
+            from fractions import Fraction
+
+            emit = lambda k, m: sink(
+                (Fraction(1 + k * n, e), "fraction" if m else "integer")
+            )
         k = _scan((1 + step) % e, step, e, e, emit)  # (1 + k*n) mod e
         if k is None:
             raise InternalConsistencyError("numerator scan passed e steps")
@@ -480,6 +498,8 @@ def ffim_exact_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcom
     if i <= limit:
         emit = None
         if sink is not None:
+            from fractions import Fraction
+
             s_f, d_f = Fraction(a, e), Fraction(b, e)  # the same in every row
             emit = lambda i, m: sink((i, s_f, d_f, Fraction(i * e - a, b)))
         i = _scan((e - a) % b, e % b, b, e, emit)  # (i*e - a) mod b

@@ -11,16 +11,19 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import EXACT_ALGORITHMS, AlgorithmId, DomainError, InverseOutcome, ModPair
+from .core import (
+    EXACT_ALGORITHMS,
+    AlgorithmId,
+    DomainError,
+    InverseOutcome,
+    ModPair,
+    TraceTooLongError,
+)
 
 # The exact algorithms' functions keyed by id: a view of core's table.
 ALGORITHM_FUNCS = {alg: alg.func for alg in EXACT_ALGORITHMS}
 
 MAX_TRACE_ROWS = 10**6
-
-
-class TraceTooLongError(RuntimeError):
-    """Tracing refused: the run would record more than MAX_TRACE_ROWS rows."""
 
 
 @dataclass(frozen=True)

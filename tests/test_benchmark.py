@@ -135,7 +135,10 @@ class TestEmitReport:
         (CSV_HEADER + "\neuclid,10,random_coprime,5" + ",x" * 11 + "\n", "csv"),
         ('{"rows": [{"algorithm": "euclid"}]}', "json"),
         ("not json", "json"),
-    ], ids=["empty", "short_row", "non_numeric_cell", "missing_key", "not_json"])
+        (CSV_HEADER + "\neuclid,10,random_coprime,5,1.0,1.0,3" + ",1.0" * 7 + ",0,999,junk\n", "csv"),
+        ("x" * 200000, "csv"),
+    ], ids=["empty", "short_row", "non_numeric_cell", "missing_key", "not_json",
+            "extra_cells", "oversized_header"])
     def test_malformed_report_raises_domain_error(self, text, format):
         with pytest.raises(DomainError):
             parse_report(text, format)

@@ -192,6 +192,25 @@ class TestBench:
         assert "argument --algs: not an exact algorithm" in err
         assert not out_file.exists()
 
+    def test_generation_error(self, tmp_path, capsys):
+        # no 2-bit modulus exceeds the fixed exponent 4
+        code, _, err = run(
+            capsys, "bench", "--bits", "2", "--samples", "3", "--e-fixed", "4",
+            "--algs", "euclid", "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 2
+        assert "no coprime modulus found for sample 0 of fixed:4" in err
+
+    def test_wrong_result_reported(self, tmp_path, capsys, monkeypatch):
+        # d = 1 is the inverse of no e >= 2
+        monkeypatch.setattr(AlgorithmId.EUCLID, "func", lambda p: InverseOutcome(1, 0, 0, OpCounts()))
+        code, _, err = run(
+            capsys, "bench", "--bits", "10", "--samples", "2", "--seed", "1",
+            "--reps", "1", "--algs", "euclid", "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 1
+        assert "euclid returned a non-inverse" in err
+
     def test_unwritable_output(self, capsys):
         code, _, _ = run(
             capsys, "bench", "--bits", "10", "--samples", "2", "--seed", "1",
@@ -302,6 +321,32 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "scan.json").read_text())["pairs"] > 0
 
+    @pytest.mark.parametrize("argv,loaded", [
+        ([], []),
+        (["inverse", "--e", "7", "--n", "60"], ["modinv.core"]),
+        (["validate", "--n-max", "16"], ["modinv.core"]),
+        (["keygen-demo", "--p", "5", "--q", "11", "--e", "7"], ["modinv.core"]),
+        (["trace", "--e", "7", "--n", "60", "--alg", "baghdad"],
+         ["modinv.core", "modinv.instrumentation"]),
+        (["bench", "--bits", "10", "--samples", "5", "--reps", "1", "--algs", "euclid"],
+         ["modinv.benchmark", "modinv.core"]),
+        (["scan-float", "--e-min", "3", "--e-max", "20", "--samples-per-e", "1",
+          "--n-bits", "24", "--epsilon", "1e-9"],
+         ["modinv.core", "modinv.floatlab"]),
+    ], ids=["import", "inverse", "validate", "keygen-demo", "trace", "bench", "scan-float"])
+    def test_command_loads_only_its_modules(self, tmp_path, argv, loaded):
+        if argv[:1] == ["bench"]:
+            argv = argv + ["--out", str(tmp_path / "r.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-c", MODULES_CHILD, *argv],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        modules = set(proc.stdout.splitlines()[-1].split())
+        assert sorted(m for m in modules if m.split(".")[0] == "modinv") == ["modinv", *loaded]
+        if loaded == ["modinv.core"]:
+            assert not modules & {"fractions", "json", "csv", "statistics"}
+
     def test_float_candidates_skip_numpy(self):
         # both float paths are plain Python: the candidates and the loop over
         # every index (here b = n mod e = 7, below 4 * (2T + 1))
@@ -329,4 +374,21 @@ for e, n, _ in json.loads(sys.argv[1]):
         ffim_float_inverse(ModPair(e, n), 1e-11)
     except FloatInverseFailure:
         pass
+"""
+
+
+# Runs in a fresh interpreter where any import of numpy fails: imports modinv,
+# or runs `python -m modinv.cli` with the arguments after -c, and prints the
+# names of the loaded modules as its last line.
+MODULES_CHILD = """
+import runpy, sys
+sys.modules["numpy"] = None
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("modinv.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+else:
+    import modinv
+print(" ".join(sorted(sys.modules)))
 """

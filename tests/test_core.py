@@ -440,3 +440,28 @@ class TestOutcomeRefusal:
         ops = OpCounts(additions=1)
         o = _outcome(ModPair(7, 60), d_raw, 4, ops)
         assert o == InverseOutcome(d=43, k=5, iterations=4, ops=ops)
+
+
+class TestPublicApi:
+    def test_every_public_name_resolves(self):
+        import modinv
+
+        namespace = {}
+        exec("from modinv import *", namespace)
+        for name in modinv.__all__:
+            assert namespace[name] is getattr(modinv, name)
+        assert set(modinv.__all__) <= set(dir(modinv))
+
+    def test_unknown_attribute_raises(self):
+        import modinv
+
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            modinv.no_such_name
+
+    def test_errors_shared_with_core(self):
+        # the CLI maps these from core; each is the same class in its old home
+        from modinv import benchmark, core, instrumentation
+
+        assert benchmark.GenerationError is core.GenerationError
+        assert benchmark.BenchmarkError is core.BenchmarkError
+        assert instrumentation.TraceTooLongError is core.TraceTooLongError
