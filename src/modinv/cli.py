@@ -55,11 +55,7 @@ def _e_list(text: str) -> tuple:
 
 
 def _cmd_inverse(args) -> int:
-    try:
-        p = ModPair(args.e, args.n)
-    except NoInverseError as err:
-        print(f"no inverse: gcd={err.common_divisor}")
-        return 1
+    p = ModPair(args.e, args.n)
     results = [(alg, alg.func(p)) for alg in args.alg]
     if len({o.d for _, o in results}) != 1:
         print("error: algorithms disagree", file=sys.stderr)
@@ -72,12 +68,7 @@ def _cmd_inverse(args) -> int:
 def _cmd_trace(args) -> int:
     from .instrumentation import render_trace, traced_inverse
 
-    try:
-        p = ModPair(args.e, args.n)
-    except NoInverseError as err:
-        print(f"no inverse: gcd={err.common_divisor}")
-        return 1
-    _, trace = traced_inverse(args.alg, p)
+    _, trace = traced_inverse(args.alg, ModPair(args.e, args.n))
     print(render_trace(trace, args.format))
     return 0
 
@@ -144,11 +135,7 @@ def _cmd_keygen_demo(args) -> int:
         "warning: pedagogical demo only, not secure key generation",
         file=sys.stderr,
     )
-    try:
-        n, e, d = rsa_toy_keygen(args.p, args.q, args.e)
-    except NoInverseError as err:
-        print(f"no inverse: gcd={err.common_divisor}")
-        return 1
+    n, e, d = rsa_toy_keygen(args.p, args.q, args.e)
     print(f"n={n} e={e} d={d}")
     return 0
 

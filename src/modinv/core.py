@@ -7,10 +7,10 @@ its main loop.
 
 Each algorithm also takes an optional ``sink``, called with one row per
 loop pass (after a row for the initial state in Euclid, Stein and Gordon)
-laid out as the ``headers`` of its :class:`AlgorithmId` member; the
-closed-form scan shortcuts call no sink. :class:`AlgorithmId`, at the end
-of this module, is the table of algorithms that the tracer, the benchmark
-harness and the CLI dispatch through.
+laid out as the ``headers`` of its :class:`AlgorithmId` member.
+:class:`AlgorithmId`, at the end of this module, is the table of
+algorithms that the tracer, the benchmark harness and the CLI dispatch
+through.
 """
 
 from __future__ import annotations
@@ -46,8 +46,12 @@ class ScanBudgetError(DomainError):
 # The errors of the tracer and the benchmark harness live here too, so the CLI
 # can map them to exit codes without importing either module.
 class TraceTooLongError(RuntimeError):
-    """Tracing refused: the run would record more than
-    instrumentation.MAX_TRACE_ROWS rows."""
+    """Tracing refused: the run would record more than MAX_TRACE_ROWS rows."""
+
+    def __init__(self, alg):
+        super().__init__(
+            f"trace of {alg} would exceed {MAX_TRACE_ROWS} rows; run untraced instead"
+        )
 
 
 class GenerationError(RuntimeError):
@@ -180,13 +184,12 @@ def _outcome(p: ModPair, d_raw: int, iterations: int, ops: OpCounts) -> InverseO
 
 RowSink = Callable[[tuple], object]
 
-# A literal scan runs at most SCAN_PREFIX steps untraced and LITERAL_SCAN_LIMIT
-# (above the tracer's row cap) with a sink; past its limit, baghdad and
-# ffim_exact take the terminating index in closed form, with the same outcome
-# and counts. They compute it first when e is above the limit (no scan runs
-# past e steps) and scan only if it lies within.
+# How far a literal scan may run: SCAN_PREFIX steps untraced (baghdad and
+# ffim_exact), SEQUENTIAL_BUDGET untraced (sequential), MAX_TRACE_ROWS with a
+# sink. _scan_index alone applies these limits.
 SCAN_PREFIX = 1 << 12
-LITERAL_SCAN_LIMIT = 1 << 20
+SEQUENTIAL_BUDGET = 1 << 24
+MAX_TRACE_ROWS = 10**6
 
 
 def _scan(m: int, step: int, mod: int, cap: int, emit=None) -> int | None:
@@ -210,25 +213,33 @@ def _scan(m: int, step: int, mod: int, cap: int, emit=None) -> int | None:
     return None
 
 
-# sequential, the literal oracle, refuses with ScanBudgetError past this many
-# candidates rather than switch to a closed form: untraced before it scans,
-# traced once the scan passes it (the tracer's lower row cap stops it first).
-SEQUENTIAL_BUDGET = 1 << 24
+def _scan_index(alg, limit, closed, args, m, step, mod, cap, emit) -> int:
+    """The terminating index of alg's scan _scan(m, step, mod, cap, emit),
+    literal within the limit (MAX_TRACE_ROWS with an emit). When cap exceeds
+    the limit the closed form closed(*args) comes first: an index past the
+    limit is returned untraced, or refused before the first row with an emit."""
+    limit = limit if emit is None else MAX_TRACE_ROWS
+    if cap > limit and (j := closed(*args)) > limit:
+        if emit is not None:
+            raise TraceTooLongError(alg)
+        return j
+    j = _scan(m, step, mod, cap, emit)
+    if j is None:
+        raise InternalConsistencyError(f"{alg} scan passed {cap} steps")
+    return j
 
 
 def sequential_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     """Trivial search: try d = 1, 2, 3, ... until e*d is 1 modulo n."""
     e, n = p.e, p.n
     emit = None if sink is None else lambda d, m: sink((d, (m + 1) % n))
-    cap = min(n - 1, SEQUENTIAL_BUDGET)
-    refused = sink is None and cap < n - 1 and pow(e, -1, n) > cap
-    d = None if refused else _scan(e - 1, e, n, cap, emit)  # e*d - 1 mod n
-    if d is None and cap < n - 1:
+    d = _scan_index(  # the residue is e*d - 1 mod n
+        "sequential", SEQUENTIAL_BUDGET, pow, (e, -1, n), e - 1, e, n, n - 1, emit
+    )
+    if d > SEQUENTIAL_BUDGET:  # the literal oracle refuses the closed form
         raise ScanBudgetError(
             f"sequential scan passed SEQUENTIAL_BUDGET = {SEQUENTIAL_BUDGET} steps"
         )
-    if d is None:
-        raise InternalConsistencyError("sequential scan passed n - 1 candidates")
     # per candidate: one multiply (e*d), one reduction, one compare; d - 1
     # increments of the candidate itself
     ops = OpCounts(additions=d - 1, multiplications=d, divisions=d, comparisons=d)
@@ -436,20 +447,17 @@ def baghdad_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     divisibility by e instead of testing a real number for integrality.
     """
     e, n = p.e, p.n
-    limit = SCAN_PREFIX if sink is None else LITERAL_SCAN_LIMIT
-    k = _smallest_k(e, n) if e > limit else 0
-    if k <= limit:
-        step = n % e
-        emit = None
-        if sink is not None:
-            from fractions import Fraction
+    step = n % e
+    emit = None
+    if sink is not None:
+        from fractions import Fraction
 
-            emit = lambda k, m: sink(
-                (Fraction(1 + k * n, e), "fraction" if m else "integer")
-            )
-        k = _scan((1 + step) % e, step, e, e, emit)  # (1 + k*n) mod e
-        if k is None:
-            raise InternalConsistencyError("numerator scan passed e steps")
+        emit = lambda k, m: sink(
+            (Fraction(1 + k * n, e), "fraction" if m else "integer")
+        )
+    k = _scan_index(  # the residue is (1 + k*n) mod e
+        "baghdad", SCAN_PREFIX, _smallest_k, (e, n), (1 + step) % e, step, e, e, emit
+    )
     # per pass: one addition of n, one division by e, one integrality test
     ops = OpCounts(additions=k, divisions=k, comparisons=k)
     return _outcome(p, (1 + k * n) // e, k, ops)
@@ -486,25 +494,24 @@ def ffim_exact_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcom
     that b divides i*e - a, sets r = (i*e - a)/b, and closes with
     d = (n*(r+1) + 1)/e. The scan tests every i in order when the
     terminating index is within the literal limit; beyond it the index
-    comes in closed form, with the same outcome and counts.
+    comes in closed form, with the same outcome and counts, or a traced
+    run refuses.
     """
     e, n = p.e, p.n
     a = (n + 1) % e
     b = n % e  # nonzero unless e = 1, where a = 0 too
     if a == 0:
         return _ffim_outcome(p, a, b, 0)
-    limit = SCAN_PREFIX if sink is None else LITERAL_SCAN_LIMIT
-    i = _ffim_index(e, n, a, b) if e > limit else 0
-    if i <= limit:
-        emit = None
-        if sink is not None:
-            from fractions import Fraction
+    emit = None
+    if sink is not None:
+        from fractions import Fraction
 
-            s_f, d_f = Fraction(a, e), Fraction(b, e)  # the same in every row
-            emit = lambda i, m: sink((i, s_f, d_f, Fraction(i * e - a, b)))
-        i = _scan((e - a) % b, e % b, b, e, emit)  # (i*e - a) mod b
-        if i is None:
-            raise InternalConsistencyError("fraction-integer scan passed e steps")
+        s_f, d_f = Fraction(a, e), Fraction(b, e)  # the same in every row
+        emit = lambda i, m: sink((i, s_f, d_f, Fraction(i * e - a, b)))
+    i = _scan_index(  # the residue is (i*e - a) mod b
+        "ffim_exact", SCAN_PREFIX, _ffim_index, (e, n, a, b),
+        (e - a) % b, e % b, b, e, emit,
+    )
     return _ffim_outcome(p, a, b, i)
 
 

@@ -281,9 +281,9 @@ def scan_failures(
 ) -> FailureReport:
     """Probe a deterministic pseudorandom sample of coprime pairs.
 
-    For every e in [e_min, e_max], draws samples_per_e moduli of n_bits
-    bits coprime to e (and above e); results are aggregated by verdict
-    and by decile of the exact witness k.
+    For every e in [e_min, e_max], draws samples_per_e n_bits-bit moduli
+    above e and coprime to it, or refuses with DomainError; results are
+    aggregated by verdict and by decile of the exact witness k.
     """
     if not 3 <= e_min <= e_max:
         raise DomainError(f"need 3 <= e_min <= e_max, got [{e_min}, {e_max}]")
@@ -293,16 +293,18 @@ def scan_failures(
         raise DomainError(f"n_bits must be in [2, 52], got {n_bits}")
     rng = random.Random(seed)
     lo, hi = 1 << (n_bits - 1), 1 << n_bits
+    if e_max >= hi - 1:
+        raise DomainError(f"e_max = {e_max} leaves no {n_bits}-bit modulus above it")
     results = []
     for e in range(e_min, e_max + 1):
         for _ in range(samples_per_e):
             for _attempt in range(200):
-                n = rng.randrange(lo, hi)
-                if n > e and math.gcd(e, n) == 1:
+                n = rng.randrange(max(lo, e + 1), hi)
+                if math.gcd(e, n) == 1:
                     results.append(probe(ModPair(e, n), epsilon))
                     break
-    if not results:
-        raise DomainError("no coprime pairs found in the requested region")
+            else:
+                raise DomainError(f"no modulus coprime to e = {e} in 200 draws")
     results.sort(key=lambda pr: (pr.e, pr.n))
     verdicts = {v: 0 for v in VERDICTS}
     for pr in results:

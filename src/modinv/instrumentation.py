@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .core import (
     EXACT_ALGORITHMS,
+    MAX_TRACE_ROWS,
     AlgorithmId,
     DomainError,
     InverseOutcome,
@@ -22,8 +23,6 @@ from .core import (
 
 # The exact algorithms' functions keyed by id: a view of core's table.
 ALGORITHM_FUNCS = {alg: alg.func for alg in EXACT_ALGORITHMS}
-
-MAX_TRACE_ROWS = 10**6
 
 
 @dataclass(frozen=True)
@@ -38,24 +37,20 @@ def traced_inverse(alg: AlgorithmId, p: ModPair):
     """Run an algorithm with per-iteration recording.
 
     Returns (outcome, trace); the outcome is identical to the untraced
-    operation's. Refuses with TraceTooLongError as soon as the run would
-    record more than MAX_TRACE_ROWS rows.
+    operation's. Refuses with TraceTooLongError once the run would record
+    more than MAX_TRACE_ROWS rows: the scans before their first row, the
+    log-time loops at the row past the cap.
     """
     if alg not in EXACT_ALGORITHMS:
         raise DomainError(f"algorithm {alg} cannot be traced here")
-    refusal = f"trace of {alg} would exceed {MAX_TRACE_ROWS} rows; run untraced instead"
     rows = []
 
     def sink(row):
         if len(rows) == MAX_TRACE_ROWS:
-            raise TraceTooLongError(refusal)
+            raise TraceTooLongError(alg)
         rows.append(row)
 
     outcome = alg.func(p, sink)
-    # The closed-form path records no rows; it only runs past
-    # LITERAL_SCAN_LIMIT steps, which is more than MAX_TRACE_ROWS.
-    if outcome.iterations > len(rows):
-        raise TraceTooLongError(refusal)
     return outcome, StepTrace(alg, alg.headers, tuple(rows), outcome)
 
 

@@ -111,6 +111,21 @@ class TestTrace:
         assert code == 2
         assert "1000000 rows" in err
 
+    def test_scan_refusal_text(self, capsys):
+        code, out, err = run(
+            capsys, "trace", "--alg", "baghdad", "--e", str(2**40 + 15),
+            "--n", str(2**61 - 1),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: trace of baghdad would exceed 1000000 rows; run untraced instead\n"
+        )
+
+    def test_non_coprime(self, capsys):
+        code, out, _ = run(capsys, "trace", "--alg", "euclid", "--e", "6", "--n", "60")
+        assert code == 1
+        assert out == "no inverse: gcd=6\n"
+
 
 class TestValidate:
     def test_includes_worked_example(self, capsys):
@@ -241,6 +256,15 @@ class TestScanFloat:
             "--epsilon", "1e-9",
         )
         assert code == 2
+
+    def test_exponent_above_every_modulus_refused(self, capsys):
+        code, out, err = run(
+            capsys, "scan-float", "--e-min", "3", "--e-max", "5000",
+            "--samples-per-e", "1", "--n-bits", "12", "--epsilon", "1e-9",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: e_max = 5000 leaves no 12-bit modulus above it\n"
 
 
 class TestKeygenDemo:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -396,3 +397,42 @@ class TestScanFailures:
             scan_failures(2, 100, 1, 32, 1e-9, 0)
         with pytest.raises(DomainError):
             scan_failures(3, 100, 1, 53, 1e-9, 0)
+
+    def test_exponent_with_no_modulus_above_it_refused(self):
+        # no 12-bit n exceeds e >= 4095, so such an e cannot be paired
+        with pytest.raises(DomainError, match="e_max = 5000"):
+            scan_failures(3, 5000, 1, 12, 1e-9, 0)
+        with pytest.raises(DomainError, match="e_max = 255"):
+            scan_failures(3, 255, 1, 8, 1e-9, 0)
+
+    def test_every_exponent_gets_its_moduli(self):
+        # e up to 2**n_bits - 2 (its one modulus is e + 1) pairs every e,
+        # those above 2**(n_bits - 1) included
+        report = scan_failures(3, 1022, 1, 10, 1e-9, 0)
+        assert report.pairs == 1020
+
+    def test_draws_below_the_low_bound_unchanged(self, monkeypatch):
+        # for e below 2**(n_bits - 1) the moduli are drawn as they always were
+        probed = []
+        monkeypatch.setattr(floatlab, "probe", lambda p, eps: probed.append(p) or probe(p, eps))
+        scan_failures(3, 60, 2, 16, 1e-9, 4)
+        rng = random.Random(4)
+        expected = []
+        for e in range(3, 61):
+            while len(expected) < 2 * (e - 2):
+                n = rng.randrange(1 << 15, 1 << 16)
+                if math.gcd(e, n) == 1:
+                    expected.append(ModPair(e, n))
+        assert probed == expected
+
+    def test_exponent_without_coprime_draw_refused(self, monkeypatch):
+        class EvenDraws:  # every modulus even, so e = 4 never finds one
+            def __init__(self, seed):
+                pass
+
+            def randrange(self, lo, hi):
+                return lo + lo % 2
+
+        monkeypatch.setattr(floatlab, "random", SimpleNamespace(Random=EvenDraws))
+        with pytest.raises(DomainError, match="coprime to e = 4"):
+            scan_failures(3, 4, 1, 16, 1e-9, 0)

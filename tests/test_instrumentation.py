@@ -102,6 +102,11 @@ class TestTracedInverse:
                 traced_inverse(alg, p)
 
 
+    def test_row_cap_lives_in_core(self):
+        from modinv import core, instrumentation
+
+        assert instrumentation.MAX_TRACE_ROWS == core.MAX_TRACE_ROWS == 10**6
+
     def test_long_scans_match_untraced(self):
         # Past SCAN_PREFIX steps an untraced baghdad or ffim_exact takes the
         # closed form while a traced one stays literal; both must give the

@@ -4,24 +4,25 @@ Outcomes are compared with a frozen copy of the three literal loops as they
 were before the scans moved into one helper: exhaustively for n <= 512, and
 on constructed pairs whose first hit lands on either side of the untraced
 literal limit SCAN_PREFIX, well past it and at the cap, and with 2048-bit
-operands. The path tests check which of the literal scan and the closed form
-each run takes.
+operands. The path tests check which of the literal scan, the closed form and
+the refusal of a trace past MAX_TRACE_ROWS each run takes.
 """
 
 import math
 import random
+import time
 
 import pytest
 
 from modinv import ModPair, baghdad_inverse, core, ffim_exact_inverse, sequential_inverse
 from modinv.core import (
-    LITERAL_SCAN_LIMIT,
     SCAN_PREFIX,
     SEQUENTIAL_BUDGET,
     DomainError,
     InternalConsistencyError,
     OpCounts,
     ScanBudgetError,
+    TraceTooLongError,
     _outcome,
     _ffim_index,
     _scan,
@@ -32,7 +33,10 @@ from modinv.instrumentation import MAX_TRACE_ROWS
 
 
 # ----------------------------------------------------------------------------
-# Frozen reference: the three literal loops before the shared scan.
+# Frozen reference: the three literal loops before the shared scan, with the
+# limit past which baghdad and ffim_exact then took the closed form.
+
+LITERAL_SCAN_LIMIT = 1 << 20
 
 
 def frozen_sequential(p):
@@ -238,7 +242,7 @@ def test_literal_branch_with_2048_bit_operands():
 
 # The literal scans against the closed forms, on pairs whose k (baghdad) or
 # i (ffim_exact) lands just below, at and just above LITERAL_SCAN_LIMIT.
-# The moduli exceed the limit, so each algorithm switches path across it.
+# The moduli exceed the limit, so the frozen copies switch path across it.
 STRADDLE = [LITERAL_SCAN_LIMIT - 1, LITERAL_SCAN_LIMIT, LITERAL_SCAN_LIMIT + 1]
 BIG_E = 2 * LITERAL_SCAN_LIMIT + 11  # coprime to every STRADDLE index
 BIG_B = LITERAL_SCAN_LIMIT + 7  # the ffim_exact hit lies below b
@@ -278,3 +282,51 @@ def test_sequential_refuses_before_scanning(monkeypatch):
     n = 3 * SEQUENTIAL_BUDGET + 1  # d = 2*SEQUENTIAL_BUDGET + 1
     with pytest.raises(ScanBudgetError, match="SEQUENTIAL_BUDGET = 16777216"):
         sequential_inverse(ModPair(3, n))
+
+
+# With a sink a scan runs at most MAX_TRACE_ROWS steps. A longer one refuses
+# before its first row, at an index below the frozen copies' 2**20 limit as
+# well as far past it.
+PAST_ROWS = 1040000
+
+
+@pytest.mark.parametrize("new, p", [
+    (sequential_inverse, sequential_pair(PAST_ROWS, BIG_E)),
+    (baghdad_inverse, baghdad_pair(PAST_ROWS, BIG_E)),
+    (ffim_exact_inverse, ffim_pair(PAST_ROWS, BIG_B)),
+], ids=["sequential", "baghdad", "ffim_exact"])
+def test_traced_scan_past_row_cap_refuses_before_first_row(new, p):
+    assert MAX_TRACE_ROWS < PAST_ROWS <= LITERAL_SCAN_LIMIT
+    assert new(p).iterations == PAST_ROWS
+    calls = []
+    start = time.perf_counter()
+    with pytest.raises(TraceTooLongError, match="would exceed 1000000 rows"):
+        new(p, calls.append)
+    assert time.perf_counter() - start < 0.5
+    assert calls == []
+
+
+@pytest.mark.parametrize("new", [baghdad_inverse, ffim_exact_inverse])
+def test_traced_closed_form_scan_refuses(new):
+    # the index is about 2.7e11, taken in closed form: no rows and no outcome
+    rows = []
+    with pytest.raises(TraceTooLongError):
+        new(ModPair(2**40 + 15, 2**61 - 1), rows.append)
+    assert rows == []
+
+
+@pytest.mark.parametrize("new, frozen, pair", [
+    (sequential_inverse, frozen_sequential, sequential_pair),
+    (baghdad_inverse, frozen_baghdad, baghdad_pair),
+    (ffim_exact_inverse, frozen_ffim_exact, ffim_pair),
+], ids=["sequential", "baghdad", "ffim_exact"])
+def test_row_cap_boundary(monkeypatch, new, frozen, pair):
+    monkeypatch.setattr(core, "MAX_TRACE_ROWS", 50)
+    p = pair(50, PRIME)
+    rows = []
+    assert new(p, rows.append) == frozen(p)
+    assert len(rows) == 50
+    rows = []
+    with pytest.raises(TraceTooLongError, match="would exceed 50 rows"):
+        new(pair(51, PRIME), rows.append)
+    assert rows == []
