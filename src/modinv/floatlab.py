@@ -17,6 +17,7 @@ from typing import Optional
 
 from .core import (
     DomainError,
+    InternalConsistencyError,
     InverseOutcome,
     ModPair,
     OpCounts,
@@ -61,6 +62,12 @@ def _check_float_domain(p: ModPair):
         raise DomainError("float scan requires e > 1")
     if p.n >= MAX_EXACT_FLOAT:
         raise DomainError(f"modulus must be below 2^53, got {p.n}")
+
+
+def _check_epsilon(epsilon: float):
+    # |r - round(r)| <= 1/2 always, so at epsilon >= 1/2 every index passes
+    if not 0 < epsilon < 0.5:
+        raise DomainError(f"epsilon must lie in (0, 1/2), got {epsilon}")
 
 
 # The candidate scan's safety factor on the rounding-error bound; the number
@@ -160,16 +167,32 @@ def _float_hit(e: int, a: int, b: int, epsilon: float):
     return None
 
 
+def _float_d(e: int, n: int, r: float) -> Optional[int]:
+    """Close the float scan at its hit r: d = (n*(round(r)+1) + 1)/e reduced
+    mod n, or None when e does not divide the numerator (a wrong answer).
+    Raises InternalConsistencyError if the d it returns is not the inverse."""
+    r_int = round(r)
+    d_num = n * (r_int + 1) + 1
+    if r_int < 0 or d_num % e:
+        return None
+    d = d_num // e % n
+    if e * d % n != 1:
+        raise InternalConsistencyError(
+            f"float scan produced {d_num // e} which is not an inverse of {e} mod {n}"
+        )
+    return d
+
+
 def ffim_float_inverse(p: ModPair, epsilon: float) -> InverseOutcome:
     """Fraction-integer scan with s_f, d_f and r computed in binary64.
 
-    Termination is declared when |r - round(r)| <= epsilon; the resulting
-    candidate is confirmed with an exact divisibility check, so a wrong
-    float index raises WrongAnswer rather than returning garbage.
+    Termination is declared when |r - round(r)| <= epsilon, for epsilon in
+    (0, 1/2); the resulting candidate is confirmed with an exact
+    divisibility check, so a wrong float index raises WrongAnswer rather
+    than returning garbage.
     """
     _check_float_domain(p)
-    if not epsilon > 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     e, n = p.e, p.n
     a = (n + 1) % e
     b = n % e
@@ -182,15 +205,14 @@ def ffim_float_inverse(p: ModPair, epsilon: float) -> InverseOutcome:
             f"no index up to e = {e} looked integral at epsilon = {epsilon}"
         )
     i, r = hit
-    r_int = round(r)
-    d_num = n * (r_int + 1) + 1
-    if r_int < 0 or d_num % e:
+    d = _float_d(e, n, r)
+    if d is None:
         raise WrongAnswer(
             f"index {i} gave r = {r} but (n*(round(r)+1)+1)/e is not an integer",
             i=i,
         )
     ops = OpCounts(additions=i, subtractions=i, divisions=i, comparisons=i)
-    return _outcome(p, d_num // e, i, ops)
+    return InverseOutcome(d, (e * d - 1) // n, i, ops)
 
 
 @dataclass(frozen=True)
@@ -208,7 +230,9 @@ def ulp_gap(p: ModPair) -> UlpGap:
     return UlpGap(xi1=xi1, xi2=xi2)
 
 
-@dataclass(frozen=True)
+# Fields go into __dict__ directly, as in core's result types: the generated
+# frozen __init__ costs one object.__setattr__ per field on every probe.
+@dataclass(frozen=True, init=False)
 class FloatProbeResult:
     """Side-by-side outcome of one exact and one float scan."""
 
@@ -221,40 +245,64 @@ class FloatProbeResult:
     r_error: float
     verdict: str
 
+    def __init__(
+        self,
+        e: int,
+        n: int,
+        epsilon: float,
+        k_exact: int,
+        i_float: Optional[int],
+        d_float: Optional[int],
+        r_error: float,
+        verdict: str,
+    ):
+        fields = self.__dict__
+        fields["e"] = e
+        fields["n"] = n
+        fields["epsilon"] = epsilon
+        fields["k_exact"] = k_exact
+        fields["i_float"] = i_float
+        fields["d_float"] = d_float
+        fields["r_error"] = r_error
+        fields["verdict"] = verdict
+
 
 def probe(p: ModPair, epsilon: float) -> FloatProbeResult:
     """Run the exact and float scans side by side and classify the result.
 
-    The exact side takes its terminating index in closed form, with the
-    outcome ffim_exact_inverse would return."""
+    Each step runs once. epsilon is checked before either scan; the exact
+    side is ffim_closed_form, the outcome ffim_exact_inverse would return with
+    its terminating index in closed form; the float side is one _float_hit,
+    closed by _float_d as ffim_float_inverse closes it. The verdict is the
+    one ffim_float_inverse's outcome or failure gives: missed_termination,
+    wrong_answer, agree when d and the index both equal the exact side's,
+    else early_termination. r_error is |r - round(r)| at the exact index."""
     _check_float_domain(p)
+    _check_epsilon(epsilon)
     exact = ffim_closed_form(p)
-    i_exact = exact.iterations
     e, n = p.e, p.n
     a = (n + 1) % e
+    if a == 0:
+        # both sides are solved at i = 0 with d = (n + 1)/e
+        return FloatProbeResult(e, n, epsilon, exact.k, 0, exact.d, 0.0, VERDICT_AGREE)
     b = n % e
-    if i_exact == 0:
-        r_error = 0.0
-    else:
-        r_f = (float(i_exact) - a / e) / (b / e)
-        r_error = abs(r_f - round(r_f))
-    try:
-        fo = ffim_float_inverse(p, epsilon)
-    except MissedTermination:
+    i_exact = exact.iterations
+    r_f = (float(i_exact) - a / e) / (b / e)
+    r_error = abs(r_f - round(r_f))
+    hit = _float_hit(e, a, b, epsilon)
+    if hit is None:
         return FloatProbeResult(
             e, n, epsilon, exact.k, None, None, r_error, VERDICT_MISSED_TERMINATION
         )
-    except WrongAnswer as failure:
-        return FloatProbeResult(
-            e, n, epsilon, exact.k, failure.i, None, r_error, VERDICT_WRONG_ANSWER
-        )
-    if fo.d == exact.d and fo.iterations == i_exact:
+    i, r = hit
+    d = _float_d(e, n, r)
+    if d is None:
+        verdict = VERDICT_WRONG_ANSWER
+    elif d == exact.d and i == i_exact:
         verdict = VERDICT_AGREE
     else:
         verdict = VERDICT_EARLY_TERMINATION
-    return FloatProbeResult(
-        e, n, epsilon, exact.k, fo.iterations, fo.d, r_error, verdict
-    )
+    return FloatProbeResult(e, n, epsilon, exact.k, i, d, r_error, verdict)
 
 
 MAX_WITNESSES = 1000
@@ -291,6 +339,7 @@ def scan_failures(
         raise DomainError("samples_per_e must be >= 1")
     if not 2 <= n_bits <= 52:
         raise DomainError(f"n_bits must be in [2, 52], got {n_bits}")
+    _check_epsilon(epsilon)
     rng = random.Random(seed)
     lo, hi = 1 << (n_bits - 1), 1 << n_bits
     if e_max >= hi - 1:

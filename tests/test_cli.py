@@ -266,6 +266,17 @@ class TestScanFloat:
         assert out == ""
         assert err == "error: e_max = 5000 leaves no 12-bit modulus above it\n"
 
+    @pytest.mark.parametrize("epsilon", ["inf", "nan", "0.5", "0"])
+    def test_epsilon_outside_its_range_refused(self, capsys, epsilon):
+        # at epsilon >= 1/2 every index passes, so the scan stops at i = 1
+        code, out, err = run(
+            capsys, "scan-float", "--e-min", "3", "--e-max", "5",
+            "--n-bits", "20", "--epsilon", epsilon,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: epsilon must lie in (0, 1/2), got {float(epsilon)}\n"
+
 
 class TestKeygenDemo:
     def test_worked_pair(self, capsys):

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -18,7 +22,11 @@ from modinv import (
 from modinv.core import DomainError, ffim_closed_form
 from modinv.floatlab import (
     VERDICT_AGREE,
+    VERDICT_EARLY_TERMINATION,
+    VERDICT_MISSED_TERMINATION,
     VERDICT_WRONG_ANSWER,
+    VERDICTS,
+    FloatProbeResult,
     _candidates,
     _float_hit,
     _threshold,
@@ -58,6 +66,40 @@ class TestFloatInverse:
     def test_bad_epsilon_rejected(self):
         with pytest.raises(DomainError):
             ffim_float_inverse(ModPair(7, 60), 0.0)
+
+
+# At epsilon >= 1/2 every index passes, since |r - round(r)| <= 1/2.
+BAD_EPSILONS = [0.0, -1e-9, 0.5, 1.0, math.inf, -math.inf, math.nan]
+
+
+def refuse(*args):
+    raise AssertionError("must not run")
+
+
+class TestEpsilonDomain:
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+    def test_probe_refuses_before_either_scan(self, monkeypatch, epsilon):
+        monkeypatch.setattr(floatlab, "ffim_closed_form", refuse)
+        monkeypatch.setattr(floatlab, "_float_hit", refuse)
+        with pytest.raises(DomainError, match=r"epsilon must lie in \(0, 1/2\)"):
+            probe(ModPair(7, 60), epsilon)
+
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+    def test_float_inverse_refuses_before_the_scan(self, monkeypatch, epsilon):
+        monkeypatch.setattr(floatlab, "_float_hit", refuse)
+        with pytest.raises(DomainError, match=r"epsilon must lie in \(0, 1/2\)"):
+            ffim_float_inverse(ModPair(7, 60), epsilon)
+
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+    def test_scan_failures_refuses_before_any_draw(self, monkeypatch, epsilon):
+        monkeypatch.setattr(floatlab, "random", SimpleNamespace(Random=refuse))
+        monkeypatch.setattr(floatlab, "probe", refuse)
+        with pytest.raises(DomainError, match=r"epsilon must lie in \(0, 1/2\)"):
+            scan_failures(3, 5, 1, 20, epsilon, 0)
+
+    def test_just_below_one_half_accepted(self):
+        assert probe(ModPair(7, 60), 0.4999).verdict in VERDICTS
+        assert scan_failures(3, 5, 1, 20, 0.4999, 0).pairs == 3
 
 
 class TestUlpGap:
@@ -102,6 +144,64 @@ class TestProbe:
             pr = probe(p, 1e-9)
             if pr.verdict == VERDICT_AGREE:
                 assert pr.d_float == ffim_exact_inverse(p).d
+
+
+EXAMPLE_PROBE_REPR = (
+    "FloatProbeResult(e=7, n=60, epsilon=1e-06, k_exact=5, i_float=3, "
+    "d_float=43, r_error=0.0, verdict='agree')"
+)
+
+
+class TestFloatProbeResult:
+    def values(self):
+        return [
+            (probe(ModPair(7, 60), 1e-6), probe(ModPair(7, 60), 1e-6)),
+            (probe(ModPair(MISSED_E, MISSED_N), 1e-14),
+             probe(ModPair(MISSED_E, MISSED_N), 1e-14)),
+        ]
+
+    def test_field_names_and_order(self):
+        assert [f.name for f in dataclasses.fields(FloatProbeResult)] == [
+            "e", "n", "epsilon", "k_exact", "i_float", "d_float", "r_error", "verdict",
+        ]
+
+    def test_each_argument_lands_in_its_field(self):
+        args = (7, 60, 1e-6, 5, 3, 43, 0.25, "agree")
+        pr = FloatProbeResult(*args)
+        assert dataclasses.astuple(pr) == args
+        names = [f.name for f in dataclasses.fields(FloatProbeResult)]
+        assert FloatProbeResult(**dict(zip(names, args))) == pr
+
+    def test_repr(self):
+        assert repr(probe(ModPair(7, 60), 1e-6)) == EXAMPLE_PROBE_REPR
+
+    def test_equal_values_equal_objects_and_hashes(self):
+        for a, b in self.values():
+            assert a is not b
+            assert a == b
+            assert hash(a) == hash(b)
+        assert probe(ModPair(7, 60), 1e-6) != probe(ModPair(7, 60), 1e-9)
+        assert len({pr for pair in self.values() for pr in pair}) == 2
+
+    def test_fields_are_frozen(self):
+        for value, _ in self.values():
+            for f in dataclasses.fields(value):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, f.name, 1)
+
+    def test_replace_copy_and_pickle(self):
+        pr = probe(ModPair(7, 60), 1e-6)
+        changed = dataclasses.replace(pr, verdict=VERDICT_EARLY_TERMINATION, i_float=4)
+        assert dataclasses.astuple(changed) == (
+            7, 60, 1e-6, 5, 4, 43, 0.0, VERDICT_EARLY_TERMINATION,
+        )
+        for value, _ in self.values():
+            assert copy.copy(value) == value
+            assert copy.deepcopy(value) == value
+            restored = pickle.loads(pickle.dumps(value))
+            assert restored == value
+            assert hash(restored) == hash(value)
+            assert type(restored) is type(value)
 
 
 # The floatscan benchmark workload's pool (benchmarks/workloads.py): e near
@@ -170,6 +270,106 @@ def literal_probe(monkeypatch, p, epsilon):
 # A pair on the candidate path whose first near-integral index is not the
 # exact one: round(r) at i = 592 fails the divisibility confirmation.
 WRONG_E, WRONG_N, WRONG_EPSILON = 4421, 1293272975, 1e-3
+
+# A pair whose float scan finds nothing up to e at epsilon 1e-14.
+MISSED_E, MISSED_N = 305, 157628349846431
+
+
+def reference_probe(p, epsilon):
+    """probe as it was when it composed ffim_closed_form with
+    ffim_float_inverse, frozen here as the reference for the one-pass probe.
+    Returns the field values in field order."""
+    exact = ffim_closed_form(p)
+    i_exact = exact.iterations
+    e, n = p.e, p.n
+    a = (n + 1) % e
+    b = n % e
+    if i_exact == 0:
+        r_error = 0.0
+    else:
+        r_f = (float(i_exact) - a / e) / (b / e)
+        r_error = abs(r_f - round(r_f))
+    try:
+        fo = ffim_float_inverse(p, epsilon)
+    except floatlab.MissedTermination:
+        return (e, n, epsilon, exact.k, None, None, r_error, VERDICT_MISSED_TERMINATION)
+    except floatlab.WrongAnswer as failure:
+        return (e, n, epsilon, exact.k, failure.i, None, r_error, VERDICT_WRONG_ANSWER)
+    if fo.d == exact.d and fo.iterations == i_exact:
+        verdict = VERDICT_AGREE
+    else:
+        verdict = VERDICT_EARLY_TERMINATION
+    return (e, n, epsilon, exact.k, fo.iterations, fo.d, r_error, verdict)
+
+
+def assert_matches_reference(cases):
+    """probe equals reference_probe field for field on every (p, epsilon);
+    returns the verdict tallies."""
+    verdicts = Counter()
+    for p, epsilon in cases:
+        pr = probe(p, epsilon)
+        assert dataclasses.astuple(pr) == reference_probe(p, epsilon), (p, epsilon)
+        verdicts[pr.verdict] += 1
+    return verdicts
+
+
+class TestProbeAgainstReference:
+    def test_floatscan_pools(self):
+        verdicts = assert_matches_reference(
+            (p, POOL_EPSILON) for seed in (1, 2) for p in floatscan_pool(seed)
+        )
+        assert sum(verdicts.values()) == 4096
+
+    def test_small_pairs_at_five_epsilons(self):
+        verdicts = assert_matches_reference(
+            (p, epsilon)
+            for epsilon in (1e-3, 1e-6, 1e-9, 1e-11, 1e-15)
+            for p in coprime_pairs(300)
+        )
+        assert set(verdicts) == set(VERDICTS) - {VERDICT_WRONG_ANSWER}
+
+    def test_fixtures(self):
+        verdicts = assert_matches_reference([
+            (ModPair(FAILURE_E, FAILURE_N), 1e-12),
+            (ModPair(FAILURE_E, FAILURE_N), POOL_EPSILON),
+            (ModPair(WRONG_E, WRONG_N), WRONG_EPSILON),
+            (ModPair(MISSED_E, MISSED_N), 1e-14),
+        ])
+        assert verdicts == {
+            VERDICT_EARLY_TERMINATION: 2, VERDICT_WRONG_ANSWER: 1, VERDICT_MISSED_TERMINATION: 1,
+        }
+
+
+class TestProbeRunsOnce:
+    def record(self, monkeypatch):
+        calls = Counter()
+        for name in ("ffim_closed_form", "_float_hit", "_float_d"):
+            def recording(*args, fn=getattr(floatlab, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(floatlab, name, recording)
+        monkeypatch.setattr(floatlab, "ffim_float_inverse", refuse)
+        return calls
+
+    @pytest.mark.parametrize("e,n,epsilon,verdict,closes", [
+        (7, 60, 1e-6, VERDICT_AGREE, 1),
+        (FAILURE_E, FAILURE_N, 1e-12, VERDICT_EARLY_TERMINATION, 1),
+        (WRONG_E, WRONG_N, WRONG_EPSILON, VERDICT_WRONG_ANSWER, 1),
+        (MISSED_E, MISSED_N, 1e-14, VERDICT_MISSED_TERMINATION, 0),
+    ])
+    def test_each_scan_once_per_pair(self, monkeypatch, e, n, epsilon, verdict, closes):
+        calls = self.record(monkeypatch)
+        pr = probe(ModPair(e, n), epsilon)
+        assert pr.verdict == verdict
+        assert calls == Counter(ffim_closed_form=1, _float_hit=1, _float_d=closes)
+
+    def test_solved_at_start_runs_no_float_scan(self, monkeypatch):
+        # a = 0: both sides are solved at i = 0, as ffim_float_inverse is
+        calls = self.record(monkeypatch)
+        pr = probe(ModPair(7, 13), 1e-6)
+        assert (pr.i_float, pr.d_float, pr.verdict) == (0, 2, VERDICT_AGREE)
+        assert calls == {"ffim_closed_form": 1}
 
 
 class TestCandidateScan:
@@ -348,17 +548,26 @@ class TestScanFailures:
         assert all(d is not None for d in deciles)
         assert deciles[-1] >= deciles[0]
 
-    def test_float_path_never_silently_wrong(self):
+    def test_float_path_never_silently_wrong(self, monkeypatch):
         # any candidate failing exact confirmation must surface as a
-        # wrong_answer verdict, never as a returned inverse
-        report = scan_failures(3, 400, 2, 40, 1e-3, 13)
-        for w in report.witnesses:
-            if w["verdict"] == VERDICT_WRONG_ANSWER:
-                break
-        p = ModPair(FAILURE_E, FAILURE_N)
-        pr = probe(p, 1e-12)
-        if pr.d_float is not None:
-            assert (p.e * pr.d_float) % p.n == 1
+        # wrong_answer verdict, never as a returned inverse; around WRONG_E
+        # at WRONG_EPSILON about half the pairs are wrong answers
+        probed = []
+
+        def recording_probe(p, epsilon):
+            probed.append(probe(p, epsilon))
+            return probed[-1]
+
+        monkeypatch.setattr(floatlab, "probe", recording_probe)
+        report = scan_failures(WRONG_E - 20, WRONG_E + 20, 2, 31, WRONG_EPSILON, 13)
+        assert len(probed) == report.pairs == 82
+        wrong = [pr for pr in probed if pr.verdict == VERDICT_WRONG_ANSWER]
+        assert wrong and len(wrong) == report.verdicts[VERDICT_WRONG_ANSWER]
+        for pr in probed:
+            if pr.d_float is not None:
+                assert pr.e * pr.d_float % pr.n == 1, pr
+        for pr in wrong:
+            assert pr.d_float is None and pr.i_float is not None, pr
 
     def test_json_round_trip(self):
         report = scan_failures(3, 40, 1, 24, 1e-9, 1)
