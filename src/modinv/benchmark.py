@@ -19,13 +19,21 @@ from typing import Optional, Sequence, Union
 
 from .core import (
     AlgorithmId,
-    BenchmarkError,
     DomainError,
-    GenerationError,
+    InternalConsistencyError,
     ModPair,
     OpCounts,
     verify_inverse,
 )
+
+
+class GenerationError(DomainError):
+    """Workload generation could not find a coprime companion."""
+
+
+class BenchmarkError(InternalConsistencyError):
+    """A measured result failed verification."""
+
 
 RANDOM_COPRIME = "random_coprime"
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 mathematical failure (no inverse, discrepancy,
-non-coprime exponent), 2 usage or environment error.
+Exit codes: 0 success; 1 mathematical failure (no inverse, discrepancy,
+non-coprime exponent) or an internal inconsistency; 2 usage or environment
+error, or a refusal (any DomainError).
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ from . import __version__
 from .core import (
     EXACT_ALGORITHMS,
     AlgorithmId,
-    BenchmarkError,
     DomainError,
-    GenerationError,
+    InternalConsistencyError,
     ModPair,
     NoInverseError,
-    TraceTooLongError,
     rsa_toy_keygen,
     run_exhaustive_validation,
 )
@@ -233,12 +232,9 @@ def main(argv=None) -> int:
     except NoInverseError as err:
         print(f"no inverse: gcd={err.common_divisor}")
         return 1
-    except (DomainError, GenerationError, TraceTooLongError, OSError) as err:
+    except (DomainError, OSError, InternalConsistencyError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except BenchmarkError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(err, InternalConsistencyError) else 2
 
 
 if __name__ == "__main__":

@@ -43,23 +43,13 @@ class ScanBudgetError(DomainError):
     """A literal scan was refused: it passed its step budget."""
 
 
-# The errors of the tracer and the benchmark harness live here too, so the CLI
-# can map them to exit codes without importing either module.
-class TraceTooLongError(RuntimeError):
+class TraceTooLongError(DomainError):
     """Tracing refused: the run would record more than MAX_TRACE_ROWS rows."""
 
     def __init__(self, alg):
         super().__init__(
             f"trace of {alg} would exceed {MAX_TRACE_ROWS} rows; run untraced instead"
         )
-
-
-class GenerationError(RuntimeError):
-    """Workload generation could not find a coprime companion."""
-
-
-class BenchmarkError(RuntimeError):
-    """A measured result failed verification."""
 
 
 def gcd(a: int, b: int) -> int:
@@ -194,17 +184,11 @@ MAX_TRACE_ROWS = 10**6
 
 def _scan(m: int, step: int, mod: int, cap: int, emit=None) -> int | None:
     """First j in [1, cap] with m + (j - 1)*step = 0 modulo mod, or None;
-    needs 0 <= m, step < mod. An emit(j, residue) sees each candidate."""
-    if emit is not None:
-        for j in range(1, cap + 1):
-            emit(j, m)
-            if not m:
-                return j
-            m += step
-            if m >= mod:
-                m -= mod
-        return None
+    needs 0 <= m, step < mod. An emit(j, residue) sees each candidate, the
+    terminating one included."""
     for j in range(1, cap + 1):
+        if emit is not None:
+            emit(j, m)
         if not m:
             return j
         m += step

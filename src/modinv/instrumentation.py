@@ -11,9 +11,10 @@ import json
 import math
 from dataclasses import dataclass
 
+from . import core
 from .core import (
     EXACT_ALGORITHMS,
-    MAX_TRACE_ROWS,
+    MAX_TRACE_ROWS,  # re-exported; traced_inverse reads core's binding
     AlgorithmId,
     DomainError,
     InverseOutcome,
@@ -38,15 +39,16 @@ def traced_inverse(alg: AlgorithmId, p: ModPair):
 
     Returns (outcome, trace); the outcome is identical to the untraced
     operation's. Refuses with TraceTooLongError once the run would record
-    more than MAX_TRACE_ROWS rows: the scans before their first row, the
-    log-time loops at the row past the cap.
+    more than core.MAX_TRACE_ROWS rows: the scans before their first row,
+    the log-time loops at the row past the cap.
     """
     if alg not in EXACT_ALGORITHMS:
         raise DomainError(f"algorithm {alg} cannot be traced here")
     rows = []
+    cap = core.MAX_TRACE_ROWS
 
     def sink(row):
-        if len(rows) == MAX_TRACE_ROWS:
+        if len(rows) == cap:
             raise TraceTooLongError(alg)
         rows.append(row)
 

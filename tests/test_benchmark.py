@@ -73,6 +73,15 @@ class TestRunBenchmark:
         with pytest.raises(DomainError):
             run_benchmark(generate_workload(spec), [AlgorithmId.FFIM_FLOAT], spec=spec)
 
+    def test_empty_inputs_refused(self):
+        pairs = generate_workload(WorkloadSpec(n_bits=8, samples=2, e_mode=RANDOM_COPRIME, seed=0))
+        with pytest.raises(DomainError, match="at least one pair"):
+            run_benchmark([], FAST_ALGS)
+        with pytest.raises(DomainError, match="at least one pair"):
+            run_benchmark(pairs, [])
+        with pytest.raises(DomainError, match="repetitions must be >= 1"):
+            run_benchmark(pairs, FAST_ALGS, repetitions=0)
+
     def test_log_algorithms_scale_with_bits(self):
         # mean iterations grow at most linearly in the bit length
         means = {}
@@ -137,8 +146,9 @@ class TestEmitReport:
         ("not json", "json"),
         (CSV_HEADER + "\neuclid,10,random_coprime,5,1.0,1.0,3" + ",1.0" * 7 + ",0,999,junk\n", "csv"),
         ("x" * 200000, "csv"),
+        (CSV_HEADER + "\n", "xml"),
     ], ids=["empty", "short_row", "non_numeric_cell", "missing_key", "not_json",
-            "extra_cells", "oversized_header"])
+            "extra_cells", "oversized_header", "unknown_format"])
     def test_malformed_report_raises_domain_error(self, text, format):
         with pytest.raises(DomainError):
             parse_report(text, format)

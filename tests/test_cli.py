@@ -7,9 +7,17 @@ from pathlib import Path
 import pytest
 
 import modinv
-from modinv import floatlab
+from modinv import core, floatlab
 from modinv.cli import main, parse_int, rsa_toy_keygen, run_exhaustive_validation
-from modinv.core import AlgorithmId, DomainError, InverseOutcome, NoInverseError, OpCounts, is_prime
+from modinv.core import (
+    AlgorithmId,
+    DomainError,
+    InternalConsistencyError,
+    InverseOutcome,
+    NoInverseError,
+    OpCounts,
+    is_prime,
+)
 
 
 def run(capsys, *argv):
@@ -54,6 +62,19 @@ class TestInverse:
         )
         assert proc.returncode == 2
         assert "SEQUENTIAL_BUDGET = 16777216" in proc.stderr
+
+    def test_disagreement_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(AlgorithmId.GORDON, "func", TestValidate.wrong_gordon)
+        code, out, err = run(capsys, "inverse", "--e", "7", "--n", "60")
+        assert (code, out, err) == (1, "", "error: algorithms disagree\n")
+
+    def test_internal_inconsistency_reported(self, capsys, monkeypatch):
+        def broken(p):
+            raise InternalConsistencyError("euclid exceeded its cap")
+
+        monkeypatch.setattr(AlgorithmId.EUCLID, "func", broken)
+        code, out, err = run(capsys, "inverse", "--e", "7", "--n", "60")
+        assert (code, out, err) == (1, "", "error: euclid exceeded its cap\n")
 
     def test_non_coprime(self, capsys):
         code, out, _ = run(capsys, "inverse", "--e", "6", "--n", "60")
@@ -121,6 +142,13 @@ class TestTrace:
             "error: trace of baghdad would exceed 1000000 rows; run untraced instead\n"
         )
 
+    def test_patched_row_cap_refused(self, capsys, monkeypatch):
+        # euclid records 5 rows at (7, 60); the tracer stops it at the 4th
+        monkeypatch.setattr(core, "MAX_TRACE_ROWS", 3)
+        code, out, err = run(capsys, "trace", "--alg", "euclid", "--e", "7", "--n", "60")
+        assert (code, out) == (2, "")
+        assert err == "error: trace of euclid would exceed 3 rows; run untraced instead\n"
+
     def test_non_coprime(self, capsys):
         code, out, _ = run(capsys, "trace", "--alg", "euclid", "--e", "6", "--n", "60")
         assert code == 1
@@ -141,6 +169,11 @@ class TestValidate:
     def test_range_rejected(self, capsys):
         code, _, _ = run(capsys, "validate", "--n-max", "5000")
         assert code == 2
+
+    def test_first_refused_n_max(self, capsys):
+        code, out, err = run(capsys, "validate", "--n-max", "4097")
+        assert (code, out) == (2, "")
+        assert err == "error: n_max must be in [2, 4096], got 4097\n"
 
     @staticmethod
     def wrong_gordon(p):
@@ -316,6 +349,10 @@ class TestHelpers:
         assert [n for n in range(2, 30) if is_prime(n)] == [
             2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
         ]
+
+    def test_is_prime_below_two(self):
+        assert not is_prime(0)
+        assert not is_prime(1)
 
 
 # Runs in a fresh interpreter where any import of numpy fails: imports

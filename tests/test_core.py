@@ -458,10 +458,12 @@ class TestPublicApi:
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             modinv.no_such_name
 
-    def test_errors_shared_with_core(self):
-        # the CLI maps these from core; each is the same class in its old home
+    def test_errors_mapped_by_base_class(self):
+        # the CLI maps core's classes only: a refusal is a DomainError (exit
+        # 2), a failed verification an InternalConsistencyError (exit 1)
         from modinv import benchmark, core, instrumentation
 
-        assert benchmark.GenerationError is core.GenerationError
-        assert benchmark.BenchmarkError is core.BenchmarkError
+        assert issubclass(core.TraceTooLongError, core.DomainError)
+        assert issubclass(benchmark.GenerationError, core.DomainError)
+        assert issubclass(benchmark.BenchmarkError, core.InternalConsistencyError)
         assert instrumentation.TraceTooLongError is core.TraceTooLongError

@@ -607,6 +607,10 @@ class TestScanFailures:
         with pytest.raises(DomainError):
             scan_failures(3, 100, 1, 53, 1e-9, 0)
 
+    def test_no_samples_refused(self):
+        with pytest.raises(DomainError, match="samples_per_e must be >= 1"):
+            scan_failures(3, 10, 0, 32, 1e-9, 0)
+
     def test_exponent_with_no_modulus_above_it_refused(self):
         # no 12-bit n exceeds e >= 4095, so such an e cannot be paired
         with pytest.raises(DomainError, match="e_max = 5000"):

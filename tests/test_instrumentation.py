@@ -102,6 +102,22 @@ class TestTracedInverse:
                 traced_inverse(alg, p)
 
 
+    @pytest.mark.parametrize("alg", [AlgorithmId.EUCLID, AlgorithmId.STEIN, AlgorithmId.GORDON])
+    def test_log_time_row_cap_follows_core(self, monkeypatch, alg):
+        # the tracer reads core's cap when it runs, as _scan_index does: a
+        # trace of exactly that many rows passes, one row more refuses
+        from modinv import core
+
+        p = ModPair(2**61 - 1, 2**89 - 1)
+        _, full = traced_inverse(alg, p)
+        rows = len(full.rows)
+        assert rows > 3
+        monkeypatch.setattr(core, "MAX_TRACE_ROWS", rows)
+        assert traced_inverse(alg, p)[1] == full
+        monkeypatch.setattr(core, "MAX_TRACE_ROWS", rows - 1)
+        with pytest.raises(TraceTooLongError, match=f"would exceed {rows - 1} rows"):
+            traced_inverse(alg, p)
+
     def test_row_cap_lives_in_core(self):
         from modinv import core, instrumentation
 
