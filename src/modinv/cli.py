@@ -27,9 +27,9 @@ from .core import (
 
 
 def parse_int(text: str) -> int:
-    """Integer argument, decimal or 0x-prefixed hex."""
+    """Integer argument, decimal or 0x-prefixed hex, after one optional sign."""
     try:
-        if text.lower().startswith(("0x", "-0x")):
+        if text.lstrip("+-")[:2].lower() == "0x":
             return int(text, 16)
         return int(text, 10)
     except ValueError:

@@ -197,19 +197,33 @@ def _scan(m: int, step: int, mod: int, cap: int, emit=None) -> int | None:
     return None
 
 
-def _scan_index(alg, limit, closed, args, m, step, mod, cap, emit) -> int:
-    """The terminating index of alg's scan _scan(m, step, mod, cap, emit),
-    literal within the limit (MAX_TRACE_ROWS with an emit). When cap exceeds
-    the limit the closed form closed(*args) comes first: an index past the
-    limit is returned untraced, or refused before the first row with an emit."""
+def _scan_closed(m: int, step: int, mod: int) -> int:
+    """The index _scan(m, step, mod, mod) returns, in closed form: the first
+    j >= 1 with m + (j - 1)*step = 0 modulo mod. Each exact scan's step is a
+    unit modulo mod, which puts that j in [1, mod]:
+
+    - sequential (step e, mod n): gcd(e, n) = 1;
+    - baghdad (step n mod e, mod e): gcd(n mod e, e) = 1;
+    - ffim_exact (step e mod b, mod b = n mod e): gcd(e mod b, b) = gcd(e, n) = 1.
+
+    mod = 1 works too: pow(x, -1, 1) is 0.
+    """
+    return 1 + -m * pow(step, -1, mod) % mod
+
+
+def _scan_index(alg, limit, m, step, mod, emit) -> int:
+    """The terminating index of alg's scan _scan(m, step, mod, mod, emit),
+    literal within the limit (MAX_TRACE_ROWS with an emit). When mod exceeds
+    the limit the closed form comes first: an index past the limit is
+    returned untraced, or refused before the first row with an emit."""
     limit = limit if emit is None else MAX_TRACE_ROWS
-    if cap > limit and (j := closed(*args)) > limit:
+    if mod > limit and (j := _scan_closed(m, step, mod)) > limit:
         if emit is not None:
             raise TraceTooLongError(alg)
         return j
-    j = _scan(m, step, mod, cap, emit)
+    j = _scan(m, step, mod, mod, emit)
     if j is None:
-        raise InternalConsistencyError(f"{alg} scan passed {cap} steps")
+        raise InternalConsistencyError(f"{alg} scan passed {mod} steps")
     return j
 
 
@@ -217,9 +231,8 @@ def sequential_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcom
     """Trivial search: try d = 1, 2, 3, ... until e*d is 1 modulo n."""
     e, n = p.e, p.n
     emit = None if sink is None else lambda d, m: sink((d, (m + 1) % n))
-    d = _scan_index(  # the residue is e*d - 1 mod n
-        "sequential", SEQUENTIAL_BUDGET, pow, (e, -1, n), e - 1, e, n, n - 1, emit
-    )
+    # the residue is e*d - 1 mod n
+    d = _scan_index("sequential", SEQUENTIAL_BUDGET, e - 1, e, n, emit)
     if d > SEQUENTIAL_BUDGET:  # the literal oracle refuses the closed form
         raise ScanBudgetError(
             f"sequential scan passed SEQUENTIAL_BUDGET = {SEQUENTIAL_BUDGET} steps"
@@ -418,11 +431,6 @@ def gordon_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     return _outcome(p, i, swaps + passes, ops)
 
 
-def _smallest_k(e: int, n: int) -> int:
-    """Smallest k >= 1 with e dividing 1 + k*n (exists since gcd(e,n)=1)."""
-    return -pow(n, -1, e) % e
-
-
 def baghdad_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     """Repeatedly add n to a running numerator until e divides it.
 
@@ -439,18 +447,11 @@ def baghdad_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
         emit = lambda k, m: sink(
             (Fraction(1 + k * n, e), "fraction" if m else "integer")
         )
-    k = _scan_index(  # the residue is (1 + k*n) mod e
-        "baghdad", SCAN_PREFIX, _smallest_k, (e, n), (1 + step) % e, step, e, e, emit
-    )
+    # the residue is (1 + k*n) mod e
+    k = _scan_index("baghdad", SCAN_PREFIX, (1 + step) % e, step, e, emit)
     # per pass: one addition of n, one division by e, one integrality test
     ops = OpCounts(additions=k, divisions=k, comparisons=k)
     return _outcome(p, (1 + k * n) // e, k, ops)
-
-
-def _ffim_index(e: int, n: int, a: int, b: int) -> int:
-    """The fraction-integer scan's terminating index in closed form: r = k - 1
-    for the smallest witness k, and i*e - a = r*b."""
-    return ((_smallest_k(e, n) - 1) * b + a) // e
 
 
 def _ffim_outcome(p: ModPair, a: int, b: int, i: int) -> InverseOutcome:
@@ -492,10 +493,8 @@ def ffim_exact_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcom
 
         s_f, d_f = Fraction(a, e), Fraction(b, e)  # the same in every row
         emit = lambda i, m: sink((i, s_f, d_f, Fraction(i * e - a, b)))
-    i = _scan_index(  # the residue is (i*e - a) mod b
-        "ffim_exact", SCAN_PREFIX, _ffim_index, (e, n, a, b),
-        (e - a) % b, e % b, b, e, emit,
-    )
+    # the residue is (i*e - a) mod b
+    i = _scan_index("ffim_exact", SCAN_PREFIX, (e - a) % b, e % b, b, emit)
     return _ffim_outcome(p, a, b, i)
 
 
@@ -504,7 +503,7 @@ def ffim_closed_form(p: ModPair) -> InverseOutcome:
     form: the same outcome, counts included, in O(log n) time."""
     e, n = p.e, p.n
     a, b = (n + 1) % e, n % e
-    return _ffim_outcome(p, a, b, _ffim_index(e, n, a, b) if a else 0)
+    return _ffim_outcome(p, a, b, _scan_closed((e - a) % b, e % b, b) if a else 0)
 
 
 class AlgorithmId(enum.Enum):
@@ -545,8 +544,8 @@ def run_exhaustive_validation(n_max: int):
     Returns (pairs_checked, first_discrepancy) where the discrepancy is
     (algorithm, e, n) or None.
     """
-    if not 2 <= n_max <= 4096:
-        raise DomainError(f"n_max must be in [2, 4096], got {n_max}")
+    if not 2 <= n_max <= SCAN_PREFIX:  # so every scan runs its literal loop
+        raise DomainError(f"n_max must be in [2, {SCAN_PREFIX}], got {n_max}")
     others = [a for a in EXACT_ALGORITHMS if a is not AlgorithmId.SEQUENTIAL]
     checked = 0
     for n in range(2, n_max + 1):

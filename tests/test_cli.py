@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -344,6 +345,12 @@ class TestHelpers:
         assert parse_int("42") == 42
         assert parse_int("0x2a") == 42
         assert parse_int("-7") == -7
+
+    def test_parse_int_signed_hex(self):
+        assert parse_int("+0x2a") == 42
+        assert parse_int("-0x2a") == -42
+        with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
+            parse_int("+-0x2a")
 
     def test_is_prime(self):
         assert [n for n in range(2, 30) if is_prime(n)] == [

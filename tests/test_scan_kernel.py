@@ -24,9 +24,8 @@ from modinv.core import (
     ScanBudgetError,
     TraceTooLongError,
     _outcome,
-    _ffim_index,
     _scan,
-    _smallest_k,
+    _scan_closed,
     run_exhaustive_validation,
 )
 from modinv.instrumentation import MAX_TRACE_ROWS
@@ -34,9 +33,20 @@ from modinv.instrumentation import MAX_TRACE_ROWS
 
 # ----------------------------------------------------------------------------
 # Frozen reference: the three literal loops before the shared scan, with the
-# limit past which baghdad and ffim_exact then took the closed form.
+# limit past which baghdad and ffim_exact then took the closed form, and
+# their own copies of the closed forms of that time.
 
 LITERAL_SCAN_LIMIT = 1 << 20
+
+
+def frozen_smallest_k(e, n):
+    """Smallest k >= 1 with e dividing 1 + k*n."""
+    return -pow(n, -1, e) % e
+
+
+def frozen_ffim_index(e, n, a, b):
+    """r = k - 1 for the smallest witness k, and i*e - a = r*b."""
+    return ((frozen_smallest_k(e, n) - 1) * b + a) // e
 
 
 def frozen_sequential(p):
@@ -57,7 +67,7 @@ def frozen_sequential(p):
 def frozen_baghdad(p):
     e, n = p.e, p.n
     if e > LITERAL_SCAN_LIMIT:
-        k = _smallest_k(e, n)
+        k = frozen_smallest_k(e, n)
         if k > LITERAL_SCAN_LIMIT:
             ops = OpCounts(additions=k, divisions=k, comparisons=k)
             return _outcome(p, (1 + k * n) // e, k, ops)
@@ -83,8 +93,7 @@ def frozen_ffim_exact(p):
         return _outcome(p, (n + 1) // e, 0, OpCounts())
     i = None
     if e > LITERAL_SCAN_LIMIT:
-        k = _smallest_k(e, n)
-        i_exact = ((k - 1) * b + a) // e
+        i_exact = frozen_ffim_index(e, n, a, b)
         if i_exact > LITERAL_SCAN_LIMIT:
             i = i_exact
     if i is None:
@@ -192,8 +201,28 @@ def refuse(*args):
 
 
 def test_validation_never_takes_the_closed_form(monkeypatch):
-    monkeypatch.setattr(core, "_smallest_k", refuse)
+    monkeypatch.setattr(core, "_scan_closed", refuse)
     assert run_exhaustive_validation(64) == (1259, None)
+
+
+def test_validation_domain_is_the_literal_prefix(monkeypatch):
+    # n_max is bounded by SCAN_PREFIX itself: at a smaller prefix validate
+    # still reaches its bound without a closed form, and refuses past it
+    monkeypatch.setattr(core, "SCAN_PREFIX", 64)
+    monkeypatch.setattr(core, "_scan_closed", refuse)
+    assert run_exhaustive_validation(64) == (1259, None)
+    with pytest.raises(DomainError, match=r"n_max must be in \[2, 64\], got 65"):
+        run_exhaustive_validation(65)
+
+
+def test_scan_closed_matches_scan():
+    for mod in range(1, 65):
+        for step in range(mod):
+            if math.gcd(step, mod) == 1:
+                for m in range(mod):
+                    assert _scan_closed(m, step, mod) == _scan(m, step, mod, mod), (
+                        m, step, mod,
+                    )
 
 
 @pytest.mark.parametrize("j", [SCAN_PREFIX - 1, SCAN_PREFIX])
@@ -253,7 +282,8 @@ def test_baghdad_literal_scan_matches_closed_form(j):
     p = baghdad_pair(j, BIG_E)
     e, n = p.e, p.n
     step = n % e
-    assert _scan((1 + step) % e, step, e, e) == _smallest_k(e, n) == j
+    m = (1 + step) % e
+    assert _scan(m, step, e, e) == frozen_smallest_k(e, n) == _scan_closed(m, step, e) == j
     assert_same(baghdad_inverse, frozen_baghdad, p, j)
 
 
@@ -263,7 +293,8 @@ def test_ffim_literal_scan_matches_closed_form(j):
     e, n = p.e, p.n
     a, b = (n + 1) % e, n % e
     assert e > LITERAL_SCAN_LIMIT
-    assert _scan((e - a) % b, e % b, b, e) == _ffim_index(e, n, a, b) == j
+    m, step = (e - a) % b, e % b
+    assert _scan(m, step, b, e) == frozen_ffim_index(e, n, a, b) == _scan_closed(m, step, b) == j
     assert_same(ffim_exact_inverse, frozen_ffim_exact, p, j)
 
 
