@@ -29,7 +29,7 @@ from .core import (
 def parse_int(text: str) -> int:
     """Integer argument, decimal or 0x-prefixed hex, after one optional sign."""
     try:
-        if text.lstrip("+-")[:2].lower() == "0x":
+        if text.strip().lstrip("+-")[:2].lower() == "0x":
             return int(text, 16)
         return int(text, 10)
     except ValueError:

@@ -22,6 +22,7 @@ from .core import (
     ModPair,
     OpCounts,
     _outcome,
+    _scan_closed,
     ffim_closed_form,
 )
 
@@ -104,12 +105,13 @@ def _candidates(e: int, a: int, b: int, t: int):
             yield base + off
 
 
-def _float_hit(e: int, a: int, b: int, epsilon: float):
+def _float_hit(e: int, a: int, b: int, epsilon: float, i_exact: int):
     """First i in [1, e] whose binary64 r = (float(i) - s_f)/d_f, with
     s_f = a/e and d_f = b/e, is within epsilon of an integer: returns (i, r)
-    or None. One loop evaluates r, either at the candidates, the indices
-    that can pass, or at every index (Fallback); r is elementwise, so both
-    give the same (i, r).
+    or None. i_exact is the exact scan's index, the first i >= 1 with
+    i*e = a (mod b). One loop evaluates r, either at the candidates, the
+    indices that can pass, or at every index (Fallback); r is elementwise,
+    so both give the same (i, r).
 
     Error bound. The exact r_i = (i*e - a)/b lies rho_i/b from the nearest
     integer, where rho_i = min(m, b - m) and m = (i*e - a) mod b. In the
@@ -128,42 +130,56 @@ def _float_hit(e: int, a: int, b: int, epsilon: float):
     that: e/d_f is e^2/b to within a factor 1 + u, so c = 8 against the
     bound's 3 leaves a margin of about 5*e^2 in units of rho, which covers
     the O(u) terms and the roundings in computing T (relative 5u on a value
-    below b/8 < 2^50); the + 1 covers the floor. Every passing index thus
-    has rho_i < T.
+    below b/8 < 2^50). rho_i is an integer, so every passing index has
+    rho_i <= floor(...) = T - 1: the + 1 in T is spare.
 
-    Candidates. gcd(e, b) = gcd(e, n) = 1, so each residue s in [-T, T] is
-    one progression i = (a + s)*e^-1 (mod b) with step b. Their 2T + 1
-    offsets in [1, b] are distinct, so sorted once they list every candidate
-    in increasing order, one block of b indices at a time: about
-    (2T + 1)*e/b evaluations instead of e.
+    Candidates. gcd(e, b) = gcd(e, n) = 1, so each residue s with
+    |s| <= T - 1 is one progression i = (a + s)*e^-1 (mod b) with step b,
+    and these 2T - 1 progressions hold every index that can pass. At T = 1
+    only s = 0 is left, the progression of the exact index, the first
+    i >= 1 with i*e = a (mod b): the loop runs over range(i_exact, e + 1, b),
+    with no inverse, offset or sort, since the caller has i_exact already
+    (probe from its exact side, ffim_float_inverse from core._scan_closed).
+    For T >= 2, _candidates(e, a, b, T - 1) lists the 2T - 1 offsets in
+    [1, b], which are distinct, so sorted once they give every candidate in
+    increasing order, one block of b indices at a time: about (2T - 1)*e/b
+    evaluations instead of e.
 
     Fallback. The loop runs over every index instead (_falls_back) in two
-    cases; costs are best of 3 on one CPU of a Xeon, Python 3.11.7. The
-    first is CANDIDATE_SPARSITY*(2T + 1) >= b, that is at least one index
-    in 4 is a candidate: every b <= 12 at T = 1, and a large epsilon. One
-    index costs about 0.3 us. One candidate costs about 0.65 us: 0.4 us to
-    list its offset, since all 2T + 1 are listed up front, and 0.23 us to
-    evaluate it. Both loops stop at the first hit, which lies near the exact
-    index, on average b/2, so they break even near 2T + 1 = b/3. Measured
-    over seeded pairs, testing every index took 1.7-1.8 times as long as the
-    candidates at b = 4*(2T + 1) with T in the tens or thousands, and about
-    as long with T = 1, where pow and the generator add a fixed 2-3 us; at
-    b = 32*(2T + 1) it took 3 to 16 times as long. That assumes the rounding
-    term sets T. When epsilon sets it, an index passes about every
-    1/(2*epsilon) indices, yet all 2T + 1 offsets are listed first: at
-    e = 10^7 + 19, 47-bit n and epsilon = 0.05, probe took 93-303 ms for a
-    hit by i = 14, which testing every index reaches in under 0.5 ms. The
-    second is 2T + 1 > MAX_PROGRESSIONS = 2^20, that is a large e: with a
-    small epsilon, T is about 8*u*e^2, which passes 2^19 near e = 2.4e10
-    and reaches 9e8 at e = 1e12. At the cap the sorted offsets take 0.44 s
-    and 44 MiB, and past it their number grows as e^2. Testing every index
-    holds O(1) memory but costs about b/2 indices to the first hit, around
-    half an hour at e = 2.4e10 and b = e/2, so the cap bounds only memory.
+    cases; costs are on one CPU of a Xeon, Python 3.11.7. The first is
+    CANDIDATE_SPARSITY*(2T + 1) >= b, that is at least one index in 4 is a
+    candidate: every b <= 12 at T = 1, and a large epsilon. The constant was
+    set when all 2T + 1 progressions |s| <= T were listed: one index cost
+    about 0.3 us and one candidate 0.65 us (0.4 to list its offset, 0.23 to
+    evaluate it), both loops stop at the first hit, near the exact index, so
+    they broke even near 2T + 1 = b/3, and testing every index took 1.7-1.8
+    times as long at b = 4*(2T + 1). With 2T - 1 progressions the switch
+    errs toward every index. Re-measured (best of 3 to 5), one index costs
+    0.24-0.28 us and listing one offset 0.14-0.15 us. At T = 1 the range has
+    no fixed cost: at e near 1e5, 48-bit n and epsilon = 1e-11 it tests 1.05
+    indices per pair, and _float_hit took 1.3-2.2 us, against 1.67
+    candidates and 3.5-6.1 us with the inverse and sorted offsets of
+    s = -1, 0, 1. All of that assumes the rounding term sets T. When epsilon
+    sets it, an index passes about every 1/(2*epsilon) indices, yet all
+    2T - 1 offsets are listed first: at e = 10^7 + 19, 47-bit n and
+    epsilon = 0.05 (2T + 1 = 2.6e5-6.4e5), probe took 65-193 ms for a hit by
+    i = 16, which testing every index reaches in under 0.5 ms. The second is
+    2T + 1 > MAX_PROGRESSIONS = 2^20, that is a large e: with a small
+    epsilon, T is about 8*u*e^2, which passes 2^19 near e = 2.4e10 and
+    reaches 9e8 at e = 1e12. At the cap the sorted offsets take 0.44 s and
+    44 MiB, and past it their number grows as e^2. Testing every index holds
+    O(1) memory but costs about b/2 indices to the first hit, around half an
+    hour at e = 2.4e10 and b = e/2, so the cap bounds only memory.
     """
     s_f = a / e
     d_f = b / e
     t = _threshold(e, b, d_f, epsilon)
-    indices = range(1, e + 1) if _falls_back(b, t) else _candidates(e, a, b, t)
+    if _falls_back(b, t):
+        indices = range(1, e + 1)
+    elif t == 1:
+        indices = range(i_exact, e + 1, b)
+    else:
+        indices = _candidates(e, a, b, t - 1)
     for i in indices:
         r = (float(i) - s_f) / d_f
         if abs(r - round(r)) <= epsilon:
@@ -203,7 +219,7 @@ def ffim_float_inverse(p: ModPair, epsilon: float) -> InverseOutcome:
     if a == 0:
         # exact: a = 0 means e divides n + 1
         return _outcome(p, (n + 1) // e, 0, OpCounts())
-    hit = _float_hit(e, a, b, epsilon)
+    hit = _float_hit(e, a, b, epsilon, _scan_closed((e - a) % b, e % b, b))
     if hit is None:
         raise MissedTermination(
             f"no index up to e = {e} looked integral at epsilon = {epsilon}"
@@ -293,7 +309,7 @@ def probe(p: ModPair, epsilon: float) -> FloatProbeResult:
     i_exact = exact.iterations
     r_f = (float(i_exact) - a / e) / (b / e)
     r_error = abs(r_f - round(r_f))
-    hit = _float_hit(e, a, b, epsilon)
+    hit = _float_hit(e, a, b, epsilon, i_exact)
     if hit is None:
         return FloatProbeResult(
             e, n, epsilon, exact.k, None, None, r_error, VERDICT_MISSED_TERMINATION

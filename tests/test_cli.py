@@ -352,6 +352,12 @@ class TestHelpers:
         with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
             parse_int("+-0x2a")
 
+    @pytest.mark.parametrize("text,value", [(" 0x2a", 42), ("0x2a\n", 42), (" -0x2a ", -42)],
+                             ids=["leading-blank", "trailing-newline", "blanks-around-sign"])
+    def test_parse_int_hex_with_blanks(self, text, value):
+        # int() strips blanks, so the 0x prefix is looked for after them too
+        assert parse_int(text) == value
+
     def test_is_prime(self):
         assert [n for n in range(2, 30) if is_prime(n)] == [
             2, 3, 5, 7, 11, 13, 17, 19, 23, 29,

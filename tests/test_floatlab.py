@@ -247,6 +247,16 @@ def full_chunk_scan(s_f, d_f, epsilon, cap):
     return None
 
 
+def passing_indices(e, a, b, epsilon):
+    """Every i in [1, e] the float test passes, by numpy over every index."""
+    passing = []
+    for start in range(1, e + 1, REFERENCE_CHUNK * 32):
+        idx = np.arange(start, min(start + REFERENCE_CHUNK * 32, e + 1), dtype=np.float64)
+        r = (idx - a / e) / (b / e)
+        passing += (np.nonzero(np.abs(r - np.rint(r)) <= epsilon)[0] + start).tolist()
+    return passing
+
+
 def full_scan(p, epsilon):
     """The float scan over every index, as ffim_float_inverse would run it."""
     a, b = (p.n + 1) % p.e, p.n % p.e
@@ -263,7 +273,8 @@ def literal_probe(monkeypatch, p, epsilon):
     the candidate scan and the closed-form exact side."""
     with monkeypatch.context() as m:
         m.setattr(floatlab, "ffim_closed_form", ffim_exact_inverse)
-        m.setattr(floatlab, "_float_hit", lambda e, a, b, eps: full_chunk_scan(a / e, b / e, eps, e))
+        m.setattr(floatlab, "_float_hit",
+                  lambda e, a, b, eps, i: full_chunk_scan(a / e, b / e, eps, e))
         return probe(p, epsilon)
 
 
@@ -407,6 +418,75 @@ class TestCandidateScan:
             t = _threshold(e, b, b / e, epsilon)
             assert all(min((j * e - a) % b, -(j * e - a) % b) < t for j in passing.tolist())
 
+    def test_passing_residues_are_at_most_threshold_minus_one(self):
+        # the bound _float_hit relies on to test only |s| <= T - 1: every
+        # index the float test passes, over every index of each pair
+        at_edge = set()
+
+        def check(e, a, b, epsilon, passing):
+            t = _threshold(e, b, b / e, epsilon)
+            for j in passing:
+                rho = min((j * e - a) % b, -(j * e - a) % b)
+                assert rho <= t - 1, (e, a, b, epsilon, j)
+                if rho and rho == t - 1:
+                    at_edge.add(e)
+
+        for p in floatscan_pool(1, 256):
+            a, b = (p.n + 1) % p.e, p.n % p.e
+            check(p.e, a, b, POOL_EPSILON, passing_indices(p.e, a, b, POOL_EPSILON))
+        for epsilon in (1e-3, 1e-6, 1e-9, 1e-11, 1e-15):
+            for n in range(3, 301):
+                # every e < n coprime to n with a != 0, against every i <= e
+                e = np.arange(2, n)
+                e = e[(np.gcd(e, n) == 1) & ((n + 1) % e != 0)]
+                a, b = (n + 1) % e, n % e
+                i = np.arange(1, n)
+                r = (i - (a / e)[:, None]) / (b / e)[:, None]
+                rows, cols = np.nonzero((np.abs(r - np.rint(r)) <= epsilon) & (i <= e[:, None]))
+                for row in np.unique(rows).tolist():
+                    passing = (cols[rows == row] + 1).tolist()
+                    check(int(e[row]), int(a[row]), int(b[row]), epsilon, passing)
+        # T >= 2: epsilon*b = 5.5 sets T = 6; the rounding term sets T = 2 at
+        # e = 4.24e7 and T = 8 at e = 9.46e7, where a residue of 1 passes
+        for e, n, epsilon in [(10007, 5500 + 10007 * 9, 1e-3),
+                              (42430558, 3898714017556497, POOL_EPSILON),
+                              (94603407, 4213322137487131, POOL_EPSILON)]:
+            a, b = (n + 1) % e, n % e
+            passing = passing_indices(e, a, b, epsilon)
+            assert _threshold(e, b, b / e, epsilon) >= 2 and passing
+            check(e, a, b, epsilon, passing)
+        assert 67109952 in passing
+        # residues at T - 1 itself pass: the bound is tight at epsilon = 1e-3
+        assert 10007 in at_edge, at_edge
+
+    def test_threshold_one_lists_no_candidates(self, monkeypatch):
+        # at T = 1 the one progression left is the exact index's own, so
+        # probe and ffim_float_inverse (through reference_probe) list nothing
+        pairs = floatscan_pool(1, 512)
+        assert all(_threshold(p.e, p.n % p.e, p.n % p.e / p.e, POOL_EPSILON) == 1 for p in pairs)
+        monkeypatch.setattr(floatlab, "_candidates", refuse)
+        for p in pairs:
+            expected = reference_probe(p, POOL_EPSILON)
+            assert dataclasses.astuple(probe(p, POOL_EPSILON)) == expected, p
+            assert dataclasses.astuple(literal_probe(monkeypatch, p, POOL_EPSILON)) == expected, p
+
+    def test_candidates_get_threshold_minus_one(self, monkeypatch):
+        e, n, epsilon = 10007, 5500 + 10007 * 9, 1e-3
+        p = ModPair(e, n)
+        a, b = (n + 1) % e, n % e
+        seen = []
+
+        def recording(e, a, b, t):
+            seen.append(t)
+            return _candidates(e, a, b, t)
+
+        monkeypatch.setattr(floatlab, "_candidates", recording)
+        hit = _float_hit(e, a, b, epsilon, ffim_closed_form(p).iterations)
+        assert seen == [_threshold(e, b, b / e, epsilon) - 1] == [5]
+        assert hit == full_scan(p, epsilon)
+        assert probe(p, epsilon) == literal_probe(monkeypatch, p, epsilon)
+        assert seen == [5, 5]
+
     @pytest.mark.parametrize("sparsity", [1, 4])
     def test_same_hit_as_full_scan_small_pairs(self, monkeypatch, sparsity):
         # 4 is the default; sparsity 1 sends every pair with 2T + 1 < b to
@@ -417,7 +497,8 @@ class TestCandidateScan:
             for p in coprime_pairs(300):
                 a, b = (p.n + 1) % p.e, p.n % p.e
                 if a:
-                    assert _float_hit(p.e, a, b, epsilon) == full_scan(p, epsilon), (p, epsilon)
+                    hit = _float_hit(p.e, a, b, epsilon, ffim_closed_form(p).iterations)
+                    assert hit == full_scan(p, epsilon), (p, epsilon)
                     paths[falls_back(p, epsilon)] += 1
         assert min(paths.values()) > 10_000, paths
 
@@ -428,7 +509,8 @@ class TestCandidateScan:
             for p in floatscan_pool(seed):
                 a, b = (p.n + 1) % p.e, p.n % p.e
                 assert not falls_back(p, POOL_EPSILON), p
-                assert _float_hit(p.e, a, b, POOL_EPSILON) == full_scan(p, POOL_EPSILON), p
+                hit = _float_hit(p.e, a, b, POOL_EPSILON, ffim_closed_form(p).iterations)
+                assert hit == full_scan(p, POOL_EPSILON), p
 
     @pytest.mark.parametrize("e,n,epsilon", [
         (10**12 + 39, 2**51 + 2**49 + 12345, 1e-6),  # T about 8.9e8
@@ -443,7 +525,7 @@ class TestCandidateScan:
         assert floatlab.CANDIDATE_SPARSITY * (2 * t + 1) < b
         assert 2 * t + 1 > floatlab.MAX_PROGRESSIONS
         assert falls_back(p, epsilon)
-        hit = _float_hit(e, a, b, epsilon)
+        hit = _float_hit(e, a, b, epsilon, ffim_closed_form(p).iterations)
         assert hit is not None and hit == full_scan(p, epsilon)
 
     def test_mid_cap_pair_takes_the_candidates(self):
@@ -454,7 +536,7 @@ class TestCandidateScan:
         a, b = (n + 1) % e, n % e
         t = _threshold(e, b, b / e, epsilon)
         assert t == 22205 and not falls_back(p, epsilon)
-        hit = _float_hit(e, a, b, epsilon)
+        hit = _float_hit(e, a, b, epsilon, ffim_closed_form(p).iterations)
         assert hit == full_scan(p, epsilon) == (14972935, 108721457.0)
 
     def test_progression_bound_is_exact(self):
@@ -492,12 +574,12 @@ class TestFallbackScan:
         a, b = (n + 1) % e, n % e
         epsilon = 1e-14
         assert falls_back(p, epsilon) == (b <= 12)
-        hit = _float_hit(e, a, b, epsilon)
+        hit = _float_hit(e, a, b, epsilon, ffim_closed_form(p).iterations)
         assert hit == full_scan(p, epsilon)
         # sparsity b sends every pair to the every-index loop
         monkeypatch.setattr(floatlab, "CANDIDATE_SPARSITY", b)
         assert falls_back(p, epsilon)
-        assert _float_hit(e, a, b, epsilon) == hit
+        assert _float_hit(e, a, b, epsilon, ffim_closed_form(p).iterations) == hit
         if first is None:
             assert hit is None
             with pytest.raises(floatlab.MissedTermination):
