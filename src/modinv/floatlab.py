@@ -71,12 +71,8 @@ def _check_epsilon(epsilon: float):
         raise DomainError(f"epsilon must lie in (0, 1/2), got {epsilon}")
 
 
-# The candidate scan's safety factor on the rounding-error bound; the number
-# of indices per candidate, and the number of progressions, past which
-# _float_hit tests every index instead.
+# The float scan's safety factor on the rounding-error bound.
 ERROR_SAFETY = 8
-CANDIDATE_SPARSITY = 4
-MAX_PROGRESSIONS = 1 << 20
 UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -86,32 +82,66 @@ def _threshold(e: int, b: int, d_f: float, epsilon: float) -> int:
     return int(bound) + 1 if bound < b else b
 
 
-def _falls_back(b: int, t: int) -> bool:
-    """Whether _float_hit tests every index instead of the candidates for
-    threshold t."""
-    return CANDIDATE_SPARSITY * (2 * t + 1) >= b or 2 * t + 1 > MAX_PROGRESSIONS
+def _first_in(c: int, b: int, lo: int, hi: int) -> int:
+    """Least k >= 0 with k*c mod b in [lo, hi], for 1 <= lo <= hi < b and
+    gcd(c, b) = 1. Unless a multiple of c lies in [lo, hi], k*c = b*y + v needs
+    y*b mod c in [c - hi % c, c - lo % c]: the same problem on (b mod c, c)."""
+    k = (lo - 1) // c + 1
+    if c * k <= hi:
+        return k
+    return (b * _first_in(b % c, c, c - hi % c, c - lo % c) + lo - 1) // c + 1
 
 
-def _candidates(e: int, a: int, b: int, t: int):
-    """Every i in [1, e] with (i*e - a) mod b in [-t, t], in increasing order;
-    needs gcd(e, b) = 1 and 2t + 1 <= b."""
-    e_inv = pow(e, -1, b)
-    # one offset in [1, b] per progression i = (a + s)/e (mod b); b stands for 0
-    offsets = sorted((a + s) * e_inv % b or b for s in range(-t, t + 1))
-    for base in range(0, e, b):
-        for off in offsets:
-            if base + off > e:
-                return
-            yield base + off
+def _gaps(c: int, b: int, w: int):
+    """(g1, A, g2, B): the least g1 >= 1 with A = g1*c mod b below w, and
+    the least g2 >= 1 with B = -g2*c mod b below w; for w >= 2 and
+    gcd(c, b) = 1. (j, u) and (k, d) are the closest approaches to 0 from
+    above and below; as in Euclid the farther moves by the nearer, and it
+    stops where it first drops below w."""
+    j, u, k, d = 1, c, 1, b - c
+    while u >= w or d >= w:
+        if u < d:
+            q = min(d - 1, d - w + u) // u
+            k, d = k + q * j, d - q * u
+        else:
+            q = min(u - 1, u - w + d) // d
+            j, u = j + q * k, u - q * d
+    return j, u, k, d
+
+
+def _window_returns(e: int, a: int, b: int, t: int, i_exact: int):
+    """Every i in [1, e] with (i*e - a) mod b within t - 1 of 0, in order;
+    i_exact is the first i >= 1 with i*e = a (mod b). With
+    x = (i*e - a + t - 1) mod b and W = 2t - 1 these are the returns of
+    x -> x + e (mod b) to [0, W), and by the three-distance theorem (Sós
+    1958; Slater 1967) the next one is g1, g2 or g1 + g2 on: g1 if
+    x + A < W, g2 if x >= B (never both, as A + B >= W), else g1 + g2.
+    W = 1 starts at i_exact with g1 = b; W >= b steps by 1 from i = 1."""
+    w = 2 * t - 1
+    if w == 1:
+        i, x, g1, A, g2, B = i_exact, 0, b, 0, b, 0
+    else:
+        c = e % b
+        g1, A, g2, B = _gaps(c, b, w)
+        lo = (a - c - t + 1) % b
+        k = _first_in(c, b, lo, lo + w - 1) if 0 < lo <= b - w else 0
+        i, x = k + 1, (k * c - lo) % b
+    while i <= e:
+        yield i
+        if x + A < w:
+            i, x = i + g1, x + A
+        elif x >= B:
+            i, x = i + g2, x - B
+        else:
+            i, x = i + g1 + g2, x + A - B
 
 
 def _float_hit(e: int, a: int, b: int, epsilon: float, i_exact: int):
     """First i in [1, e] whose binary64 r = (float(i) - s_f)/d_f, with
     s_f = a/e and d_f = b/e, is within epsilon of an integer: returns (i, r)
     or None. i_exact is the exact scan's index, the first i >= 1 with
-    i*e = a (mod b). One loop evaluates r, either at the candidates, the
-    indices that can pass, or at every index (Fallback); r is elementwise,
-    so both give the same (i, r).
+    i*e = a (mod b). One loop evaluates r at the indices that can pass; r is
+    elementwise, so it gives the same (i, r) as testing every index.
 
     Error bound. The exact r_i = (i*e - a)/b lies rho_i/b from the nearest
     integer, where rho_i = min(m, b - m) and m = (i*e - a) mod b. In the
@@ -133,54 +163,15 @@ def _float_hit(e: int, a: int, b: int, epsilon: float, i_exact: int):
     below b/8 < 2^50). rho_i is an integer, so every passing index has
     rho_i <= floor(...) = T - 1: the + 1 in T is spare.
 
-    Candidates. gcd(e, b) = gcd(e, n) = 1, so each residue s with
-    |s| <= T - 1 is one progression i = (a + s)*e^-1 (mod b) with step b,
-    and these 2T - 1 progressions hold every index that can pass. At T = 1
-    only s = 0 is left, the progression of the exact index, the first
-    i >= 1 with i*e = a (mod b): the loop runs over range(i_exact, e + 1, b),
-    with no inverse, offset or sort, since the caller has i_exact already
-    (probe from its exact side, ffim_float_inverse from core._scan_closed).
-    For T >= 2, _candidates(e, a, b, T - 1) lists the 2T - 1 offsets in
-    [1, b], which are distinct, so sorted once they give every candidate in
-    increasing order, one block of b indices at a time: about (2T - 1)*e/b
-    evaluations instead of e.
-
-    Fallback. The loop runs over every index instead (_falls_back) in two
-    cases; costs are on one CPU of a Xeon, Python 3.11.7. The first is
-    CANDIDATE_SPARSITY*(2T + 1) >= b, that is at least one index in 4 is a
-    candidate: every b <= 12 at T = 1, and a large epsilon. The constant was
-    set when all 2T + 1 progressions |s| <= T were listed: one index cost
-    about 0.3 us and one candidate 0.65 us (0.4 to list its offset, 0.23 to
-    evaluate it), both loops stop at the first hit, near the exact index, so
-    they broke even near 2T + 1 = b/3, and testing every index took 1.7-1.8
-    times as long at b = 4*(2T + 1). With 2T - 1 progressions the switch
-    errs toward every index. Re-measured (best of 3 to 5), one index costs
-    0.24-0.28 us and listing one offset 0.14-0.15 us. At T = 1 the range has
-    no fixed cost: at e near 1e5, 48-bit n and epsilon = 1e-11 it tests 1.05
-    indices per pair, and _float_hit took 1.3-2.2 us, against 1.67
-    candidates and 3.5-6.1 us with the inverse and sorted offsets of
-    s = -1, 0, 1. All of that assumes the rounding term sets T. When epsilon
-    sets it, an index passes about every 1/(2*epsilon) indices, yet all
-    2T - 1 offsets are listed first: at e = 10^7 + 19, 47-bit n and
-    epsilon = 0.05 (2T + 1 = 2.6e5-6.4e5), probe took 65-193 ms for a hit by
-    i = 16, which testing every index reaches in under 0.5 ms. The second is
-    2T + 1 > MAX_PROGRESSIONS = 2^20, that is a large e: with a small
-    epsilon, T is about 8*u*e^2, which passes 2^19 near e = 2.4e10 and
-    reaches 9e8 at e = 1e12. At the cap the sorted offsets take 0.44 s and
-    44 MiB, and past it their number grows as e^2. Testing every index holds
-    O(1) memory but costs about b/2 indices to the first hit, around half an
-    hour at e = 2.4e10 and b = e/2, so the cap bounds only memory.
+    Walk. gcd(e, b) = gcd(e, n) = 1, so the 2T - 1 residues |s| <= T - 1
+    are progressions with step b. _window_returns(e, a, b, T) yields them in
+    order, in O(1) memory after O(log b) seeds: about (2T - 1)*e/b indices.
+    At T = 1 it is range(i_exact, e + 1, b), with no seed: probe has i_exact
+    from its exact side, ffim_float_inverse from core._scan_closed.
     """
     s_f = a / e
     d_f = b / e
-    t = _threshold(e, b, d_f, epsilon)
-    if _falls_back(b, t):
-        indices = range(1, e + 1)
-    elif t == 1:
-        indices = range(i_exact, e + 1, b)
-    else:
-        indices = _candidates(e, a, b, t - 1)
-    for i in indices:
+    for i in _window_returns(e, a, b, _threshold(e, b, d_f, epsilon), i_exact):
         r = (float(i) - s_f) / d_f
         if abs(r - round(r)) <= epsilon:
             return i, r

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import modinv
-from modinv import core, floatlab
+from modinv import core
 from modinv.cli import main, parse_int, rsa_toy_keygen, run_exhaustive_validation
 from modinv.core import (
     AlgorithmId,
@@ -300,6 +300,16 @@ class TestScanFloat:
         assert out == ""
         assert err == "error: e_max = 5000 leaves no 12-bit modulus above it\n"
 
+    def test_large_e_pair(self, capsys):
+        # T = 799361 at e = 3e10: the float scan walks its progressions to
+        # the first hit at i = 42741220 instead of testing every index
+        code, out, _ = run(
+            capsys, "scan-float", "--e-min", "30000000007", "--e-max", "30000000007",
+            "--samples-per-e", "1", "--n-bits", "52", "--epsilon", "1e-12",
+        )
+        assert code == 0
+        assert "wrong_answer: 1" in out.splitlines()
+
     @pytest.mark.parametrize("epsilon", ["inf", "nan", "0.5", "0"])
     def test_epsilon_outside_its_range_refused(self, capsys, epsilon):
         # at epsilon >= 1/2 every index passes, so the scan stops at i = 1
@@ -433,12 +443,9 @@ class TestStartup:
             assert not modules & {"fractions", "json", "csv", "statistics"}
 
     def test_float_candidates_skip_numpy(self):
-        # both float paths are plain Python: the candidates and the loop over
-        # every index (here b = n mod e = 7, below 4 * (2T + 1))
-        pairs = [(100003, 2**47 + 5, False), (309686, 2535179246073379, False), (97, 10**12 - 43, True)]
-        for e, n, fallback in pairs:
-            b = n % e
-            assert floatlab._falls_back(b, floatlab._threshold(e, b, b / e, 1e-11)) == fallback
+        # the float scan is plain Python, at large and small b (here
+        # b = n mod e = 7 for the last pair)
+        pairs = [(100003, 2**47 + 5), (309686, 2535179246073379), (97, 10**12 - 43)]
         proc = subprocess.run(
             [sys.executable, "-c", FLOAT_CHILD, json.dumps(pairs)],
             env=child_env(), capture_output=True, text=True, timeout=120,
@@ -447,13 +454,13 @@ class TestStartup:
 
 
 # Runs in a fresh interpreter where any import of numpy fails: probes each
-# (e, n, fallback) pair of argv[1] at epsilon 1e-11 and runs the float scan.
+# (e, n) pair of argv[1] at epsilon 1e-11 and runs the float scan.
 FLOAT_CHILD = """
 import json, sys
 sys.modules["numpy"] = None
 from modinv import ModPair, ffim_float_inverse, probe
 from modinv.floatlab import FloatInverseFailure
-for e, n, _ in json.loads(sys.argv[1]):
+for e, n in json.loads(sys.argv[1]):
     probe(ModPair(e, n), 1e-11)
     try:
         ffim_float_inverse(ModPair(e, n), 1e-11)

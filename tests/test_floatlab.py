@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -27,9 +28,9 @@ from modinv.floatlab import (
     VERDICT_WRONG_ANSWER,
     VERDICTS,
     FloatProbeResult,
-    _candidates,
     _float_hit,
     _threshold,
+    _window_returns,
     failure_report_from_json,
     failure_report_to_json,
 )
@@ -263,9 +264,19 @@ def full_scan(p, epsilon):
     return full_chunk_scan(a / p.e, b / p.e, epsilon, p.e)
 
 
-def falls_back(p, epsilon):
-    b = p.n % p.e
-    return floatlab._falls_back(b, _threshold(p.e, b, b / p.e, epsilon))
+def recording_walk(monkeypatch):
+    """Patch _float_hit's walk to record each call's t and the indices it
+    yields; returns the list of (t, indices)."""
+    walks = []
+
+    def recording(e, a, b, t, i_exact):
+        walks.append((t, []))
+        for i in _window_returns(e, a, b, t, i_exact):
+            walks[-1][1].append(i)
+            yield i
+
+    monkeypatch.setattr(floatlab, "_window_returns", recording)
+    return walks
 
 
 def literal_probe(monkeypatch, p, epsilon):
@@ -395,15 +406,18 @@ class TestCandidateScan:
         assert _threshold(e, b, b / e, epsilon) == t
 
     def test_candidates_are_the_residues_near_zero(self):
+        # every t from W = 2t - 1 = 1 (the exact index's progression) to
+        # W >= b (every index)
         for e in range(2, 40):
             for b in range(1, e):
                 if math.gcd(e, b) != 1:
                     continue
                 for a in range(0, e, 3):
-                    for t in range((b - 1) // 2 + 1):
+                    i_exact = next(i for i in range(1, b + 1) if (i * e - a) % b == 0)
+                    for t in range(1, b + 2):
                         near = [i for i in range(1, e + 1)
-                                if min((i * e - a) % b, -(i * e - a) % b) <= t]
-                        assert list(_candidates(e, a, b, t)) == near, (e, a, b, t)
+                                if min((i * e - a) % b, -(i * e - a) % b) <= t - 1]
+                        assert list(_window_returns(e, a, b, t, i_exact)) == near, (e, a, b, t)
 
     def test_passing_indices_lie_inside_threshold(self):
         # every index the float test passes, not only the first, has a
@@ -461,54 +475,63 @@ class TestCandidateScan:
 
     def test_threshold_one_lists_no_candidates(self, monkeypatch):
         # at T = 1 the one progression left is the exact index's own, so
-        # probe and ffim_float_inverse (through reference_probe) list nothing
+        # probe and ffim_float_inverse (through reference_probe) walk it
+        # from the exact index, with no seed
         pairs = floatscan_pool(1, 512)
         assert all(_threshold(p.e, p.n % p.e, p.n % p.e / p.e, POOL_EPSILON) == 1 for p in pairs)
-        monkeypatch.setattr(floatlab, "_candidates", refuse)
+        monkeypatch.setattr(floatlab, "_gaps", refuse)
+        monkeypatch.setattr(floatlab, "_first_in", refuse)
+        walks = recording_walk(monkeypatch)
         for p in pairs:
             expected = reference_probe(p, POOL_EPSILON)
             assert dataclasses.astuple(probe(p, POOL_EPSILON)) == expected, p
             assert dataclasses.astuple(literal_probe(monkeypatch, p, POOL_EPSILON)) == expected, p
+        assert len(walks) == 2 * len(pairs)
+        assert {t for t, _ in walks} == {1}
 
     def test_candidates_get_threshold_minus_one(self, monkeypatch):
         e, n, epsilon = 10007, 5500 + 10007 * 9, 1e-3
         p = ModPair(e, n)
         a, b = (n + 1) % e, n % e
-        seen = []
-
-        def recording(e, a, b, t):
-            seen.append(t)
-            return _candidates(e, a, b, t)
-
-        monkeypatch.setattr(floatlab, "_candidates", recording)
+        walks = recording_walk(monkeypatch)
         hit = _float_hit(e, a, b, epsilon, ffim_closed_form(p).iterations)
-        assert seen == [_threshold(e, b, b / e, epsilon) - 1] == [5]
+        assert [t for t, _ in walks] == [_threshold(e, b, b / e, epsilon)] == [6]
+        # the walk's window is |s| <= t - 1 = 5
+        near = [i for i in range(1, e + 1) if min((i * e - a) % b, -(i * e - a) % b) <= 5]
+        assert walks[0][1] == near[:len(walks[0][1])]
         assert hit == full_scan(p, epsilon)
         assert probe(p, epsilon) == literal_probe(monkeypatch, p, epsilon)
-        assert seen == [5, 5]
+        assert [t for t, _ in walks] == [6, 6]
 
-    @pytest.mark.parametrize("sparsity", [1, 4])
-    def test_same_hit_as_full_scan_small_pairs(self, monkeypatch, sparsity):
-        # 4 is the default; sparsity 1 sends every pair with 2T + 1 < b to
-        # the candidates. Both paths are compared with the reference.
-        monkeypatch.setattr(floatlab, "CANDIDATE_SPARSITY", sparsity)
-        paths = {False: 0, True: 0}
-        for epsilon in (1e-3, 1e-6, 1e-9, 1e-11, 1e-15):
+    @pytest.mark.parametrize("widen", [1, 4])
+    def test_same_hit_as_full_scan_small_pairs(self, monkeypatch, widen):
+        # T = 1 at the five epsilons of the other small-pair tests; 0.02 and
+        # 0.45 reach the walk's other two seeds, 1 < W < b and W >= b.
+        # widen = 4 walks a window four times the bound's T (capped at b):
+        # its extra indices are ones that cannot pass, so the hit is the same.
+        threshold = floatlab._threshold
+        monkeypatch.setattr(
+            floatlab, "_threshold",
+            lambda e, b, d_f, epsilon: min(b, widen * threshold(e, b, d_f, epsilon)),
+        )
+        seeds = Counter()
+        for epsilon in (1e-3, 1e-6, 1e-9, 1e-11, 1e-15, 0.02, 0.45):
             for p in coprime_pairs(300):
                 a, b = (p.n + 1) % p.e, p.n % p.e
                 if a:
                     hit = _float_hit(p.e, a, b, epsilon, ffim_closed_form(p).iterations)
                     assert hit == full_scan(p, epsilon), (p, epsilon)
-                    paths[falls_back(p, epsilon)] += 1
-        assert min(paths.values()) > 10_000, paths
+                    w = 2 * floatlab._threshold(p.e, b, b / p.e, epsilon) - 1
+                    seeds["W = 1" if w == 1 else "W >= b" if w >= b else "1 < W < b"] += 1
+        # past widen = 1, W = 1 is left only where b = 1
+        assert seeds["1 < W < b"] > 1000 and seeds["W >= b"] > 1000, seeds
+        assert widen > 1 or seeds["W = 1"] > 1000, seeds
 
     def test_same_hit_as_full_scan_on_floatscan_pool(self):
-        # T = 1 here, and no pair of either pool has b <= 4*(2T + 1), so
-        # every one takes the candidates
+        # T = 1 here: the walk is the exact index's progression
         for seed in (1, 2):
             for p in floatscan_pool(seed):
                 a, b = (p.n + 1) % p.e, p.n % p.e
-                assert not falls_back(p, POOL_EPSILON), p
                 hit = _float_hit(p.e, a, b, POOL_EPSILON, ffim_closed_form(p).iterations)
                 assert hit == full_scan(p, POOL_EPSILON), p
 
@@ -517,33 +540,23 @@ class TestCandidateScan:
         (10**11 + 3, 2**51 + 777, 1e-4),  # T about 1.9e7
     ])
     def test_large_e_falls_back(self, e, n, epsilon):
-        # T grows as 8*u*e^2: at a large e the candidates are sparse but the
-        # progressions too many to list, so every index is tested
+        # T grows as 8*u*e^2: at a large e there are millions of
+        # progressions, which the walk steps through without listing
         p = ModPair(e, n)
         a, b = (n + 1) % e, n % e
-        t = _threshold(e, b, b / e, epsilon)
-        assert floatlab.CANDIDATE_SPARSITY * (2 * t + 1) < b
-        assert 2 * t + 1 > floatlab.MAX_PROGRESSIONS
-        assert falls_back(p, epsilon)
         hit = _float_hit(e, a, b, epsilon, ffim_closed_form(p).iterations)
         assert hit is not None and hit == full_scan(p, epsilon)
 
     def test_mid_cap_pair_takes_the_candidates(self):
-        # 2T + 1 = 44411 offsets are listed in milliseconds, where testing
+        # 2T - 1 = 44409 progressions, walked in milliseconds, where testing
         # every index up to the hit at 14972935 would take seconds
         e, n, epsilon = 5000000029, 3377700708182193, 1e-12
         p = ModPair(e, n)
         a, b = (n + 1) % e, n % e
         t = _threshold(e, b, b / e, epsilon)
-        assert t == 22205 and not falls_back(p, epsilon)
+        assert t == 22205
         hit = _float_hit(e, a, b, epsilon, ffim_closed_form(p).iterations)
         assert hit == full_scan(p, epsilon) == (14972935, 108721457.0)
-
-    def test_progression_bound_is_exact(self):
-        # b is large enough that only the number of progressions decides
-        b = 10**9
-        assert not floatlab._falls_back(b, floatlab.MAX_PROGRESSIONS // 2 - 1)
-        assert floatlab._falls_back(b, floatlab.MAX_PROGRESSIONS // 2)
 
     def test_probe_matches_literal_scans(self, monkeypatch):
         pairs = floatscan_pool(1, 512) + [ModPair(FAILURE_E, FAILURE_N)]
@@ -553,7 +566,6 @@ class TestCandidateScan:
 
     def test_constructed_wrong_answer(self, monkeypatch):
         p = ModPair(WRONG_E, WRONG_N)
-        assert not falls_back(p, WRONG_EPSILON)
         pr = probe(p, WRONG_EPSILON)
         assert pr.verdict == VERDICT_WRONG_ANSWER
         assert pr.i_float == 592 and pr.d_float is None
@@ -567,25 +579,88 @@ class TestFallbackScan:
     @pytest.mark.parametrize("e,n,first", [
         (1002, 776039837081929, 254),  # exact index 67 misses; 67 + b passes
         (305, 157628349846431, None),  # no index passes
-        (1507, 892224166445855, 523),  # b = 12 falls back; exact index 7 misses
+        (1507, 892224166445855, 523),  # b = 12; exact index 7 misses
     ])
-    def test_first_hit_past_b_or_none(self, monkeypatch, e, n, first):
+    def test_first_hit_past_b_or_none(self, e, n, first):
         p = ModPair(e, n)
         a, b = (n + 1) % e, n % e
         epsilon = 1e-14
-        assert falls_back(p, epsilon) == (b <= 12)
         hit = _float_hit(e, a, b, epsilon, ffim_closed_form(p).iterations)
         assert hit == full_scan(p, epsilon)
-        # sparsity b sends every pair to the every-index loop
-        monkeypatch.setattr(floatlab, "CANDIDATE_SPARSITY", b)
-        assert falls_back(p, epsilon)
-        assert _float_hit(e, a, b, epsilon, ffim_closed_form(p).iterations) == hit
         if first is None:
             assert hit is None
             with pytest.raises(floatlab.MissedTermination):
                 ffim_float_inverse(p, epsilon)
         else:
             assert hit[0] == first > b
+
+
+class TestWindowWalk:
+    def test_gaps_cover_the_window(self):
+        # A + B >= W, so "x + A < W" and "x >= B" never both hold and the
+        # walk needs no tie-break; each gap is the first time its side of 0
+        # comes within W - 1
+        for b in range(2, 120):
+            for c in range(1, b):
+                if math.gcd(c, b) != 1:
+                    continue
+                for w in range(2, b):
+                    g1, A, g2, B = floatlab._gaps(c, b, w)
+                    assert A + B >= w, (c, b, w)
+                    up = next(j for j in range(1, b) if 0 < j * c % b < w)
+                    down = next(j for j in range(1, b) if 0 < -j * c % b < w)
+                    assert (g1, A, g2, B) == (up, up * c % b, down, -down * c % b), (c, b, w)
+
+    def test_small_b_at_threshold_one_walks_the_exact_progression(self, monkeypatch):
+        # b = 12 at T = 1: the exact index's progression from 7, 44 indices
+        # up to the hit at 523, not every index from 1
+        e, n, epsilon = 1507, 892224166445855, 1e-14
+        p = ModPair(e, n)
+        a, b = (n + 1) % e, n % e
+        assert b == 12 and _threshold(e, b, b / e, epsilon) == 1
+        walks = recording_walk(monkeypatch)
+        hit = _float_hit(e, a, b, epsilon, ffim_closed_form(p).iterations)
+        assert hit == full_scan(p, epsilon) and hit[0] == 523
+        assert walks == [(1, list(range(7, 524, 12)))]
+        assert len(walks[0][1]) == 44
+
+    def test_threshold_set_by_epsilon(self):
+        # at epsilon 1e-3, epsilon*b sets T in the thousands, and a hit comes
+        # within a few hundred indices; three 47-bit moduli from Random(0)
+        e, epsilon = 10**7 + 19, 1e-3
+        rng = random.Random(0)
+        moduli = []
+        while len(moduli) < 3:
+            n = rng.randrange(1 << 46, 1 << 47)
+            if math.gcd(e, n) == 1:
+                moduli.append(n)
+        for n in moduli:
+            p = ModPair(e, n)
+            a, b = (n + 1) % e, n % e
+            assert _threshold(e, b, b / e, epsilon) > 2000
+            hit = _float_hit(e, a, b, epsilon, ffim_closed_form(p).iterations)
+            assert hit is not None and hit == full_scan(p, epsilon), n
+        assert hit[0] == 657
+
+    @pytest.mark.parametrize("e,n,epsilon,first", [
+        (10**12 + 39, 2**51 + 2**49 + 12345, 1e-6, 470634),  # T about 8.9e8
+        (5000000029, 3377700708182193, 1e-12, 14972935),  # T = 22205
+        # T = 799361: the pair of `modinv scan-float --e-min 30000000007
+        # --e-max 30000000007 --samples-per-e 1 --n-bits 52 --epsilon 1e-12`
+        (30000000007, 3986789839407053, 1e-12, 42741220),
+    ])
+    def test_walk_memory_is_constant(self, e, n, epsilon, first):
+        p = ModPair(e, n)
+        a, b = (n + 1) % e, n % e
+        i_exact = ffim_closed_form(p).iterations
+        tracemalloc.start()
+        try:
+            hit = _float_hit(e, a, b, epsilon, i_exact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+        assert hit == full_scan(p, epsilon) and hit[0] == first
 
 
 class TestClosedFormExactSide:
