@@ -18,11 +18,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .core import (
+    SEQUENTIAL_BUDGET,
     AlgorithmId,
     DomainError,
     InternalConsistencyError,
     ModPair,
     OpCounts,
+    ScanBudgetError,
+    _scan_closed,
     verify_inverse,
 )
 
@@ -130,6 +133,8 @@ def run_benchmark(
     """Measure each algorithm over the pairs; every result is verified.
 
     Wall time per (pair, algorithm) is the median of `repetitions` calls.
+    A sequential scan that would pass SEQUENTIAL_BUDGET on any pair is
+    refused before the first timed call.
     """
     if not pairs or not algs:
         raise DomainError("need at least one pair and one algorithm")
@@ -137,6 +142,11 @@ def run_benchmark(
         raise DomainError("the float scan is measured in the float error lab")
     if repetitions < 1:
         raise DomainError("repetitions must be >= 1")
+    if AlgorithmId.SEQUENTIAL in algs and any(
+        p.n > SEQUENTIAL_BUDGET and _scan_closed(p.e - 1, p.e, p.n) > SEQUENTIAL_BUDGET
+        for p in pairs
+    ):
+        raise ScanBudgetError()
     if spec is not None:
         n_bits = spec.n_bits
         e_mode = spec.e_mode_label

@@ -40,7 +40,16 @@ class InternalConsistencyError(RuntimeError):
 
 
 class ScanBudgetError(DomainError):
-    """A literal scan was refused: it passed its step budget."""
+    """The literal sequential scan was refused: its index passes
+    SEQUENTIAL_BUDGET."""
+
+    def __init__(self):
+        super().__init__(
+            f"sequential scan passed SEQUENTIAL_BUDGET = {SEQUENTIAL_BUDGET} steps"
+        )
+
+    def __reduce__(self):  # pickle would pass the message to __init__
+        return type(self), ()
 
 
 class TraceTooLongError(DomainError):
@@ -156,20 +165,23 @@ def verify_inverse(p: ModPair, d: int) -> bool:
 
 def witness_k(p: ModPair, d: int) -> int:
     """The integer k with e*d = 1 + k*n; requires d to be the inverse."""
-    if not verify_inverse(p, d):
+    k, r = divmod(p.e * d - 1, p.n)
+    if r or not 1 <= d < p.n:
         raise DomainError(f"{d} is not the inverse of {p.e} modulo {p.n}")
-    return (p.e * d - 1) // p.n
+    return k
 
 
 def _outcome(p: ModPair, d_raw: int, iterations: int, ops: OpCounts) -> InverseOutcome:
-    # verify_inverse inline: d lies in [0, n) and n >= 2, so d = 0 fails too
+    # verify_inverse and k from one division: d lies in [0, n) and n >= 2,
+    # so d = 0 leaves the remainder n - 1
     e, n = p.e, p.n
     d = d_raw % n
-    if e * d % n != 1:
+    k, r = divmod(e * d - 1, n)
+    if r:
         raise InternalConsistencyError(
             f"algorithm produced {d_raw} which is not an inverse of {e} mod {n}"
         )
-    return InverseOutcome(d, (e * d - 1) // n, iterations, ops)
+    return InverseOutcome(d, k, iterations, ops)
 
 
 RowSink = Callable[[tuple], object]
@@ -234,9 +246,7 @@ def sequential_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcom
     # the residue is e*d - 1 mod n
     d = _scan_index("sequential", SEQUENTIAL_BUDGET, e - 1, e, n, emit)
     if d > SEQUENTIAL_BUDGET:  # the literal oracle refuses the closed form
-        raise ScanBudgetError(
-            f"sequential scan passed SEQUENTIAL_BUDGET = {SEQUENTIAL_BUDGET} steps"
-        )
+        raise ScanBudgetError()
     # per candidate: one multiply (e*d), one reduction, one compare; d - 1
     # increments of the candidate itself
     ops = OpCounts(additions=d - 1, multiplications=d, divisions=d, comparisons=d)
@@ -324,6 +334,14 @@ def stein_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     after the first pass, that holds exactly when c < 0, or c = 0 and
     t3 < 0. For odd n, c = 0 forces t3 = 0, so the same test serves.
 
+    The loop holds no negative big integer: t3 is its magnitude a >= 0 and
+    a sign pos (t3 = 0 counts as positive), formed by comparing u3 with
+    v3. CPython's & and >> on a negative int build a two's-complement copy
+    first: the parity test costs about three times as much there. After the
+    first pass u3 and v3 are odd, so a is even: each pass's halvings run
+    at the bottom of the pass before, with no parity test on entry. Only
+    the first pass's run, which may be empty, stands before the loop.
+
     The sink still sees all nine columns (_stein_row derives each row from
     the one before), and the tallies count the three-cofactor algorithm's
     operations.
@@ -336,11 +354,19 @@ def stein_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
         m = e
         uc, vc, tc = 0, e - 1, 1
     u3, v3 = e, n
-    t3 = -n if e & 1 else e
+    a, pos = (n, False) if e & 1 else (e, True)
     if sink is not None:
         row = (1, 0, e, n, 1 - e, n) + ((0, -1, -n) if e & 1 else (1, 0, e))
         sink(row)
     halvings = fixes = flips = wraps = 0
+    while not a & 1:
+        a >>= 1
+        halvings += 1
+        if tc & 1:
+            tc = (tc + m) >> 1
+            fixes += 1
+        else:
+            tc >>= 1
     # The cap is unreachable: the loop makes at most e.bit_length() +
     # n.bit_length() passes (Stein 1967; Knuth, TAOCP Vol. 2, 4.5.2). After
     # the first pass u3 and v3 are odd with u3*v3 <= e*n (n is odd when e is
@@ -350,28 +376,34 @@ def stein_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     # ends the loop.
     cap = 4 * (n.bit_length() + e.bit_length()) + 16
     for its in range(1, cap + 1):
-        while not t3 & 1:
-            t3 >>= 1
+        if pos:
+            uc, u3 = tc, a
+        else:
+            vc, v3 = m - tc, a
+            flips += 1
+        tc = uc - vc
+        if u3 >= v3:
+            a, pos = u3 - v3, True
+        else:
+            a, pos = v3 - u3, False
+        if tc < 0 or (tc == 0 and not pos):
+            tc += m
+            wraps += 1
+        if sink is not None:
+            row = _stein_row(e, n, row, uc, u3, vc, v3, tc, a if pos else -a)
+            sink(row)
+        if not a:
+            break
+        while True:
+            a >>= 1
             halvings += 1
             if tc & 1:
                 tc = (tc + m) >> 1
                 fixes += 1
             else:
                 tc >>= 1
-        if t3 > 0:
-            uc, u3 = tc, t3
-        else:
-            vc, v3 = m - tc, -t3
-            flips += 1
-        tc, t3 = uc - vc, u3 - v3
-        if tc < 0 or (tc == 0 and t3 < 0):
-            tc += m
-            wraps += 1
-        if sink is not None:
-            row = _stein_row(e, n, row, uc, u3, vc, v3, tc, t3)
-            sink(row)
-        if t3 == 0:
-            break
+            if a & 1:
+                break
     else:
         raise InternalConsistencyError("binary gcd exceeded its iteration cap")
     # Per halving: the parity test, the even-t1/t2 test, 3 shifts; a parity
@@ -392,7 +424,9 @@ def gordon_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
 
     Each pass replaces the true quotient by the largest 2**s with
     2**s * u <= g; a pass with u > g contributes quotient 0 (a plain
-    swap). The loop uses no multiplication and no division.
+    swap). A swap leaves u < g, so its shifting pass follows in the same
+    iteration; it is still its own pass, with its own row. The loop uses no
+    multiplication and no division.
     """
     e, n = p.e, p.n
     g, u = n, e
@@ -407,7 +441,6 @@ def gordon_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
             i, v = v, i
             if sink is not None:
                 sink((g, u, i, v, 0))
-            continue
         s = g.bit_length() - u.bit_length()
         us = u << s
         if us > g:

@@ -260,6 +260,20 @@ class TestBench:
         assert code == 1
         assert "euclid returned a non-inverse" in err
 
+    def test_sequential_budget_refused_before_timing(self, tmp_path, capsys, monkeypatch):
+        # a 64-bit pair's inverse lies far past SEQUENTIAL_BUDGET: the
+        # refusal comes before stein, listed first, is timed once
+        calls = []
+        monkeypatch.setattr(AlgorithmId.STEIN, "func", calls.append)
+        out_file = tmp_path / "r.csv"
+        code, out, err = run(
+            capsys, "bench", "--bits", "64", "--samples", "3", "--seed", "1",
+            "--reps", "1", "--algs", "stein,sequential", "--out", str(out_file),
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert err == "error: sequential scan passed SEQUENTIAL_BUDGET = 16777216 steps\n"
+        assert not out_file.exists()
+
     def test_unwritable_output(self, capsys):
         code, _, _ = run(
             capsys, "bench", "--bits", "10", "--samples", "2", "--seed", "1",

@@ -238,6 +238,51 @@ class TestStein:
             assert_stein_matches_reference(p)
 
 
+def reference_gordon(e, n):
+    """Gordon's loop with a swap as a pass of its own, which goes back to
+    the loop guard before it shifts (gordon_inverse's earlier loop, frozen
+    here). Returns (d, iterations, ops, rows)."""
+    g, u = n, e
+    i, v = 0, 1
+    swaps = passes = doublings = 0
+    rows = [(g, u, i, v, 0)]
+    while u > 0:
+        if u > g:
+            swaps += 1
+            g, u = u, g
+            i, v = v, i
+            rows.append((g, u, i, v, 0))
+            continue
+        s = g.bit_length() - u.bit_length()
+        us = u << s
+        if us > g:
+            s -= 1
+            us >>= 1
+        passes += 1
+        doublings += s + 1
+        g, u = u, g - us
+        i, v = v, i - (v << s)
+        rows.append((g, u, i, v, 1 << s))
+    ops = OpCounts(
+        additions=doublings,
+        subtractions=2 * passes,
+        shifts=doublings + 2 * passes,
+        comparisons=2 * swaps + 3 * passes + doublings + 1,
+    )
+    return i % n, swaps + passes, ops, rows
+
+
+def assert_gordon_matches_reference(p):
+    """gordon_inverse equals the frozen loop; returns its swap-row count."""
+    rows = []
+    o = gordon_inverse(p, rows.append)
+    d, its, ops, ref_rows = reference_gordon(p.e, p.n)
+    assert (o.d, o.iterations, o.ops) == (d, its, ops), p
+    assert rows == ref_rows, p
+    assert gordon_inverse(p) == o, p
+    return sum(1 for row in rows[1:] if row[4] == 0)
+
+
 class TestGordon:
     def test_worked_example(self):
         assert gordon_inverse(ModPair(7, 60)).d == 43
@@ -252,6 +297,20 @@ class TestGordon:
         ops = gordon_inverse(ModPair(7, 60)).ops
         assert ops.multiplications == 0
         assert ops.divisions == 0
+
+    def test_matches_reference_small(self):
+        # every coprime pair with n <= 300: outcome, tallies and every row
+        swap_rows = 0
+        for n in range(2, 301):
+            for e in range(1, n):
+                if math.gcd(e, n) == 1:
+                    swap_rows += assert_gordon_matches_reference(ModPair(e, n))
+        assert swap_rows > 0
+
+    @pytest.mark.parametrize("bits", [64, 256, 2048, 4096])
+    def test_matches_reference_at_key_sizes(self, bits):
+        pairs = parity_class_pairs(6 if bits > 256 else 40, bits, seed=bits)
+        assert sum(assert_gordon_matches_reference(p) for p in pairs) > 0
 
 
 class TestBaghdad:
@@ -308,6 +367,13 @@ class TestVerifyAndWitness:
     def test_witness_rejects_non_inverse(self):
         with pytest.raises(DomainError):
             witness_k(ModPair(7, 60), 42)
+
+    @pytest.mark.parametrize("d", [0, 103, -17])
+    def test_witness_rejects_out_of_range(self, d):
+        # 103 and -17 are 43 mod 60, the inverse of 7: only the range test
+        # refuses them
+        with pytest.raises(DomainError, match=f"{d} is not the inverse of 7 modulo 60"):
+            witness_k(ModPair(7, 60), d)
 
 
 @pytest.mark.parametrize("func", ALL_EXACT)

@@ -9,6 +9,7 @@ the refusal of a trace past MAX_TRACE_ROWS each run takes.
 """
 
 import math
+import pickle
 import random
 import time
 
@@ -306,6 +307,12 @@ def test_sequential_budget():
     assert isinstance(refusal.value, DomainError)
     n = SEQUENTIAL_BUDGET + 1  # d = SEQUENTIAL_BUDGET is still scanned
     assert sequential_inverse(ModPair(n - 1, n)).iterations == SEQUENTIAL_BUDGET
+
+
+def test_sequential_refusal_pickles():
+    refusal = pickle.loads(pickle.dumps(ScanBudgetError()))
+    assert type(refusal) is ScanBudgetError
+    assert str(refusal) == "sequential scan passed SEQUENTIAL_BUDGET = 16777216 steps"
 
 
 def test_sequential_refuses_before_scanning(monkeypatch):
