@@ -14,8 +14,8 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import asdict, astuple, dataclass
+from typing import Optional, Sequence, Union, get_type_hints
 
 from .core import (
     SEQUENTIAL_BUDGET,
@@ -57,10 +57,16 @@ class WorkloadSpec:
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
         if self.e_mode != RANDOM_COPRIME:
-            fixed = tuple(self.e_mode)
-            if not fixed or any(e < 2 for e in fixed):
-                raise DomainError("fixed e list entries must be >= 2")
-            object.__setattr__(self, "e_mode", fixed)
+            fixed = self.e_mode
+            if not (
+                isinstance(fixed, (tuple, list))
+                and fixed
+                and all(isinstance(e, int) and e >= 2 for e in fixed)
+            ):
+                raise DomainError(
+                    f"e_mode must be {RANDOM_COPRIME!r} or a list of ints >= 2, got {fixed!r}"
+                )
+            object.__setattr__(self, "e_mode", tuple(fixed))
 
     @property
     def e_mode_label(self) -> str:
@@ -196,50 +202,22 @@ def run_benchmark(
     return BenchReport(rows=tuple(rows))
 
 
-CSV_HEADER = (
-    "algorithm,n_bits,e_mode,samples,mean_iters,median_iters,max_iters,"
-    "mean_divs,mean_mults,mean_adds,mean_subs,mean_shifts,mean_cmps,"
-    "mean_ns,failures"
-)
-_CSV_FIELDS = CSV_HEADER.split(",")
-_INT_FIELDS = {"n_bits", "samples", "failures"}
-_BIG_INT_FIELDS = {"max_iters"}
-_STR_FIELDS = {"algorithm", "e_mode"}
+CSV_HEADER = ",".join(get_type_hints(BenchRow))
 
 
 def emit_report(r: BenchReport, format: str = "csv") -> str:
-    """Serialize a report; big integers go to JSON as decimal strings."""
+    """Serialize a report, one column per BenchRow field in declaration
+    order; JSON writes the big integer max_iters as a decimal string."""
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_FIELDS)
-        for row in r.rows:
-            writer.writerow([_format_cell(getattr(row, f)) for f in _CSV_FIELDS])
+        writer.writerow(CSV_HEADER.split(","))
+        writer.writerows(astuple(row) for row in r.rows)
         return buf.getvalue()
     if format == "json":
-        payload = []
-        for row in r.rows:
-            obj = {}
-            for f in _CSV_FIELDS:
-                v = getattr(row, f)
-                obj[f] = str(v) if f in _BIG_INT_FIELDS else v
-            payload.append(obj)
-        return json.dumps({"rows": payload})
+        rows = [{**asdict(row), "max_iters": str(row.max_iters)} for row in r.rows]
+        return json.dumps({"rows": rows})
     raise DomainError(f"unknown report format: {format!r}")
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _parse_field(name: str, raw) -> object:
-    if name in _STR_FIELDS:
-        return str(raw)
-    if name in _INT_FIELDS or name in _BIG_INT_FIELDS:
-        return int(raw)
-    return float(raw)
 
 
 def parse_report(text: str, format: str = "csv") -> BenchReport:
@@ -247,17 +225,18 @@ def parse_report(text: str, format: str = "csv") -> BenchReport:
     DomainError."""
     if format not in ("csv", "json"):
         raise DomainError(f"unknown report format: {format!r}")
+    columns = get_type_hints(BenchRow)  # each column's parser: str, int or float
     try:
         if format == "csv":
             reader = csv.reader(io.StringIO(text))
-            if next(reader, None) != _CSV_FIELDS:
+            if next(reader, None) != list(columns):
                 raise ValueError("unexpected CSV header")
             # a row with too few or too many cells raises ValueError
-            records = (dict(zip(_CSV_FIELDS, record, strict=True)) for record in reader)
+            records = (dict(zip(columns, record, strict=True)) for record in reader)
         else:
             records = json.loads(text)["rows"]
         rows = tuple(
-            BenchRow(**{f: _parse_field(f, obj[f]) for f in _CSV_FIELDS}) for obj in records
+            BenchRow(**{f: parse(obj[f]) for f, parse in columns.items()}) for obj in records
         )
     except (csv.Error, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed {format} report: {exc!r}") from exc

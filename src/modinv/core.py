@@ -15,6 +15,7 @@ through.
 
 from __future__ import annotations
 
+import copyreg
 import enum
 import math
 from collections.abc import Callable
@@ -33,6 +34,9 @@ class NoInverseError(ValueError):
         self.e = e
         self.n = n
         self.common_divisor = common_divisor
+
+    def __reduce__(self):  # pickle would pass the message to __init__
+        return type(self), (self.e, self.n, self.common_divisor)
 
 
 class InternalConsistencyError(RuntimeError):
@@ -59,6 +63,9 @@ class TraceTooLongError(DomainError):
         super().__init__(
             f"trace of {alg} would exceed {MAX_TRACE_ROWS} rows; run untraced instead"
         )
+
+    def __reduce__(self):  # keep the message, whose cap may have been patched since
+        return copyreg.__newobj__, (type(self), *self.args)
 
 
 def gcd(a: int, b: int) -> int:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .core import (
     DomainError,
@@ -396,23 +396,10 @@ def scan_failures(
 
 
 def failure_report_to_json(r: FailureReport) -> str:
-    return json.dumps(
-        {
-            "epsilon": r.epsilon,
-            "pairs": r.pairs,
-            "verdicts": r.verdicts,
-            "decile_mean_r_error": list(r.decile_mean_r_error),
-            "witnesses": list(r.witnesses),
-        }
-    )
+    return json.dumps(asdict(r))
 
 
 def failure_report_from_json(text: str) -> FailureReport:
     obj = json.loads(text)
-    return FailureReport(
-        epsilon=obj["epsilon"],
-        pairs=obj["pairs"],
-        verdicts=obj["verdicts"],
-        decile_mean_r_error=tuple(obj["decile_mean_r_error"]),
-        witnesses=tuple(obj["witnesses"]),
-    )
+    fields = get_type_hints(FailureReport)  # JSON arrays become the tuple fields
+    return FailureReport(**{f: tuple(obj[f]) if t is tuple else obj[f] for f, t in fields.items()})

@@ -3,7 +3,13 @@ import math
 import pytest
 
 from modinv import AlgorithmId, WorkloadSpec, emit_report, generate_workload, parse_report, run_benchmark
-from modinv.benchmark import CSV_HEADER, RANDOM_COPRIME, SMALL_E_PRESET
+from modinv.benchmark import (
+    CSV_HEADER,
+    RANDOM_COPRIME,
+    SMALL_E_PRESET,
+    BenchReport,
+    BenchRow,
+)
 from modinv.core import DomainError
 
 FAST_ALGS = (AlgorithmId.EUCLID, AlgorithmId.STEIN, AlgorithmId.GORDON)
@@ -40,6 +46,10 @@ class TestGenerateWorkload:
             WorkloadSpec(n_bits=8, samples=0, e_mode=RANDOM_COPRIME, seed=0)
         with pytest.raises(DomainError):
             WorkloadSpec(n_bits=8, samples=5, e_mode=(1,), seed=0)
+        for e_mode in ("random", 5, (3, "5"), (), [2.5]):
+            with pytest.raises(DomainError, match="e_mode"):
+                WorkloadSpec(n_bits=8, samples=5, e_mode=e_mode, seed=0)
+        assert WorkloadSpec(n_bits=8, samples=5, e_mode=[3, 5], seed=0).e_mode == (3, 5)
 
 
 class TestRunBenchmark:
@@ -109,6 +119,37 @@ class TestRunBenchmark:
             assert rnd.mean_iters > 100 * max(fixed.mean_iters, 1.0), rnd.algorithm
 
 
+# A hand-built report whose cells reach the formats' edge cases: an integer
+# past 64 bits, inf, -0.0, a subnormal, a repeating fraction and a fixed-e
+# label with its separator.
+PINNED_REPORT = BenchReport(rows=(
+    BenchRow("stein", 2048, "fixed:3;5", 7, 1 / 3, -0.0, 10**40, 1e-320, 0.0, 2.5,
+             1e300, 123456789.125, 0.1, math.inf, 0),
+    BenchRow("euclid", 64, "random_coprime", 1, 19.0, 19.0, 19, 19.0, 0.0, 0.0,
+             0.0, 0.0, 20.0, 1500.0, 2),
+))
+PINNED_CSV = (
+    "algorithm,n_bits,e_mode,samples,mean_iters,median_iters,max_iters,mean_divs,"
+    "mean_mults,mean_adds,mean_subs,mean_shifts,mean_cmps,mean_ns,failures\n"
+    "stein,2048,fixed:3;5,7,0.3333333333333333,-0.0,"
+    "10000000000000000000000000000000000000000,1e-320,0.0,2.5,1e+300,"
+    "123456789.125,0.1,inf,0\n"
+    "euclid,64,random_coprime,1,19.0,19.0,19,19.0,0.0,0.0,0.0,0.0,20.0,1500.0,2\n"
+)
+PINNED_JSON = (
+    '{"rows": [{"algorithm": "stein", "n_bits": 2048, "e_mode": "fixed:3;5", '
+    '"samples": 7, "mean_iters": 0.3333333333333333, "median_iters": -0.0, '
+    '"max_iters": "10000000000000000000000000000000000000000", "mean_divs": 1e-320, '
+    '"mean_mults": 0.0, "mean_adds": 2.5, "mean_subs": 1e+300, '
+    '"mean_shifts": 123456789.125, "mean_cmps": 0.1, "mean_ns": Infinity, '
+    '"failures": 0}, {"algorithm": "euclid", "n_bits": 64, '
+    '"e_mode": "random_coprime", "samples": 1, "mean_iters": 19.0, '
+    '"median_iters": 19.0, "max_iters": "19", "mean_divs": 19.0, "mean_mults": 0.0, '
+    '"mean_adds": 0.0, "mean_subs": 0.0, "mean_shifts": 0.0, "mean_cmps": 20.0, '
+    '"mean_ns": 1500.0, "failures": 2}]}'
+)
+
+
 class TestEmitReport:
     def _report(self):
         spec = WorkloadSpec(n_bits=10, samples=5, e_mode=RANDOM_COPRIME, seed=8)
@@ -127,6 +168,11 @@ class TestEmitReport:
         csv_text = emit_report(report, "csv")
         json_text = emit_report(parse_report(csv_text, "csv"), "json")
         assert emit_report(parse_report(json_text, "json"), "csv") == csv_text
+
+    @pytest.mark.parametrize("format,expected", [("csv", PINNED_CSV), ("json", PINNED_JSON)])
+    def test_exact_bytes(self, format, expected):
+        assert emit_report(PINNED_REPORT, format) == expected
+        assert emit_report(parse_report(expected, format), format) == expected
 
     def test_json_big_ints_as_strings(self):
         import json

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from modinv import (
+    AlgorithmId,
     DomainError,
     InternalConsistencyError,
     InverseOutcome,
@@ -20,10 +21,12 @@ from modinv import (
     gordon_inverse,
     sequential_inverse,
     stein_inverse,
+    traced_inverse,
     verify_inverse,
     witness_k,
 )
-from modinv.core import _outcome
+from modinv import benchmark, core, floatlab
+from modinv.core import SEQUENTIAL_BUDGET, _outcome
 
 
 def random_pairs(count, bits, seed):
@@ -533,3 +536,74 @@ class TestPublicApi:
         assert issubclass(benchmark.GenerationError, core.DomainError)
         assert issubclass(benchmark.BenchmarkError, core.InternalConsistencyError)
         assert instrumentation.TraceTooLongError is core.TraceTooLongError
+
+
+# ----------------------------------------------------------------------------
+# Every exception class of core, floatlab and benchmark survives pickling, as
+# multiprocessing needs. Each case raises its error the way the library does;
+# the trace refusal is raised under a patched MAX_TRACE_ROWS and unpickled
+# after the patch is undone, so its message must travel as built.
+
+
+def _trace_refusal(monkeypatch):
+    monkeypatch.setattr(core, "MAX_TRACE_ROWS", 3)
+    traced_inverse(AlgorithmId.SEQUENTIAL, ModPair(7, 60))
+
+
+def _benchmark_error(monkeypatch):
+    monkeypatch.setattr(benchmark, "verify_inverse", lambda p, d: False)
+    benchmark.run_benchmark([ModPair(7, 60)], [AlgorithmId.EUCLID])
+
+
+def _float_inverse_failure(monkeypatch):
+    # the library raises only its subclasses
+    raise floatlab.FloatInverseFailure("float scan failed", i=7)
+
+
+RAISERS = {
+    "DomainError": lambda monkeypatch: ModPair(3, 1),
+    "NoInverseError": lambda monkeypatch: ModPair(4, 6),
+    "InternalConsistencyError": lambda monkeypatch: _outcome(ModPair(7, 60), 42, 1, OpCounts()),
+    "ScanBudgetError": lambda monkeypatch: sequential_inverse(
+        ModPair(3, 3 * SEQUENTIAL_BUDGET + 1)
+    ),
+    "TraceTooLongError": _trace_refusal,
+    "FloatInverseFailure": _float_inverse_failure,
+    "MissedTermination": lambda monkeypatch: floatlab.ffim_float_inverse(
+        ModPair(305, 157628349846431), 1e-14
+    ),
+    "WrongAnswer": lambda monkeypatch: floatlab.ffim_float_inverse(
+        ModPair(4421, 1293272975), 1e-3
+    ),
+    # no 2-bit modulus lies above e = 4
+    "GenerationError": lambda monkeypatch: benchmark.generate_workload(
+        benchmark.WorkloadSpec(n_bits=2, samples=1, e_mode=(4,), seed=0)
+    ),
+    "BenchmarkError": _benchmark_error,
+}
+
+
+def test_raisers_cover_every_exception_class():
+    defined = {
+        name
+        for module in (core, floatlab, benchmark)
+        for name, value in vars(module).items()
+        if isinstance(value, type)
+        and issubclass(value, BaseException)
+        and value.__module__ == module.__name__
+    }
+    assert defined == set(RAISERS)
+
+
+@pytest.mark.parametrize("name", sorted(RAISERS))
+def test_exception_pickle_round_trip(name, monkeypatch):
+    with pytest.raises(Exception) as info:
+        RAISERS[name](monkeypatch)
+    err = info.value
+    assert type(err).__name__ == name
+    monkeypatch.undo()
+    restored = pickle.loads(pickle.dumps(err))
+    assert type(restored) is type(err)
+    assert str(restored) == str(err)
+    for attr in ("e", "n", "common_divisor", "i"):
+        assert getattr(restored, attr, None) == getattr(err, attr, None), attr

@@ -27,6 +27,7 @@ from modinv.floatlab import (
     VERDICT_MISSED_TERMINATION,
     VERDICT_WRONG_ANSWER,
     VERDICTS,
+    FailureReport,
     FloatProbeResult,
     _float_hit,
     _threshold,
@@ -729,6 +730,26 @@ class TestScanFailures:
     def test_json_round_trip(self):
         report = scan_failures(3, 40, 1, 24, 1e-9, 1)
         text = failure_report_to_json(report)
+        assert failure_report_from_json(text) == report
+
+    def test_json_exact_bytes(self):
+        report = FailureReport(
+            epsilon=1e-13,
+            pairs=3,
+            verdicts={VERDICT_AGREE: 2, VERDICT_WRONG_ANSWER: 0,
+                      VERDICT_MISSED_TERMINATION: 1, VERDICT_EARLY_TERMINATION: 0},
+            decile_mean_r_error=(1 / 3, -0.0, 1e-320) + (None,) * 6 + (0.0,),
+            witnesses=({"e": "309686", "n": "2535179246073379", "k": "123",
+                        "verdict": VERDICT_MISSED_TERMINATION},),
+        )
+        text = failure_report_to_json(report)
+        assert text == (
+            '{"epsilon": 1e-13, "pairs": 3, "verdicts": {"agree": 2, '
+            '"wrong_answer": 0, "missed_termination": 1, "early_termination": 0}, '
+            '"decile_mean_r_error": [0.3333333333333333, -0.0, 1e-320, null, null, '
+            'null, null, null, null, 0.0], "witnesses": [{"e": "309686", '
+            '"n": "2535179246073379", "k": "123", "verdict": "missed_termination"}]}'
+        )
         assert failure_report_from_json(text) == report
 
     def test_ordering_and_bounds(self):
