@@ -19,7 +19,7 @@ import copyreg
 import enum
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 
 class DomainError(ValueError):
@@ -43,6 +43,12 @@ class InternalConsistencyError(RuntimeError):
     """A provably unreachable iteration cap was exhausted."""
 
 
+def _reduce_keeping_message(self):
+    # pickle would pass the message to __init__, and rebuilding it would read
+    # a cap that may have been patched since
+    return copyreg.__newobj__, (type(self), *self.args)
+
+
 class ScanBudgetError(DomainError):
     """The literal sequential scan was refused: its index passes
     SEQUENTIAL_BUDGET."""
@@ -52,8 +58,7 @@ class ScanBudgetError(DomainError):
             f"sequential scan passed SEQUENTIAL_BUDGET = {SEQUENTIAL_BUDGET} steps"
         )
 
-    def __reduce__(self):  # pickle would pass the message to __init__
-        return type(self), ()
+    __reduce__ = _reduce_keeping_message
 
 
 class TraceTooLongError(DomainError):
@@ -64,8 +69,7 @@ class TraceTooLongError(DomainError):
             f"trace of {alg} would exceed {MAX_TRACE_ROWS} rows; run untraced instead"
         )
 
-    def __reduce__(self):  # keep the message, whose cap may have been patched since
-        return copyreg.__newobj__, (type(self), *self.args)
+    __reduce__ = _reduce_keeping_message
 
 
 def gcd(a: int, b: int) -> int:
@@ -77,9 +81,29 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-# The result types are frozen dataclasses whose __init__ writes the fields into
-# __dict__ directly: the generated frozen __init__ sends each one through
-# object.__setattr__, which costs more than the log-time loops at small n.
+def _record(cls):
+    """cls as a frozen dataclass whose __init__ stores each field straight into
+    the instance __dict__. The generated frozen __init__ sends each one through
+    object.__setattr__, which costs more than the log-time loops at small n."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    flds = fields(cls)
+    # no field declared in a class body is named __self or __dict: the
+    # compiler mangles such a name to _Class__self
+    src = f"def __init__(__self, {', '.join(f.name for f in flds)}):\n"
+    src += "    __dict = __self.__dict__\n"
+    src += "".join(f"    __dict[{f.name!r}] = {f.name}\n" for f in flds)
+    namespace = {"__name__": cls.__module__}
+    exec(src, namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(f.default for f in flds if f.default is not MISSING)
+    init.__annotations__ = {**{f.name: f.type for f in flds}, "return": None}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+# ModPair validates before it stores, so it keeps its own __init__, which
+# writes into __dict__ as _record's does
 @dataclass(frozen=True, init=False)
 class ModPair:
     """A validated problem instance: find the inverse of e modulo n.
@@ -105,7 +129,7 @@ class ModPair:
         fields["n"] = n
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class OpCounts:
     """Tallies of the arithmetic operations executed by an algorithm's
     main loop."""
@@ -117,35 +141,11 @@ class OpCounts:
     shifts: int = 0
     comparisons: int = 0
 
-    def __init__(
-        self,
-        additions: int = 0,
-        subtractions: int = 0,
-        multiplications: int = 0,
-        divisions: int = 0,
-        shifts: int = 0,
-        comparisons: int = 0,
-    ):
-        fields = self.__dict__
-        fields["additions"] = additions
-        fields["subtractions"] = subtractions
-        fields["multiplications"] = multiplications
-        fields["divisions"] = divisions
-        fields["shifts"] = shifts
-        fields["comparisons"] = comparisons
-
     def __add__(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(
-            self.additions + other.additions,
-            self.subtractions + other.subtractions,
-            self.multiplications + other.multiplications,
-            self.divisions + other.divisions,
-            self.shifts + other.shifts,
-            self.comparisons + other.comparisons,
-        )
+        return OpCounts(*[getattr(self, f.name) + getattr(other, f.name) for f in fields(self)])
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class InverseOutcome:
     """Result of one inverse computation.
 
@@ -156,13 +156,6 @@ class InverseOutcome:
     k: int
     iterations: int
     ops: OpCounts
-
-    def __init__(self, d: int, k: int, iterations: int, ops: OpCounts):
-        fields = self.__dict__
-        fields["d"] = d
-        fields["k"] = k
-        fields["iterations"] = iterations
-        fields["ops"] = ops
 
 
 def verify_inverse(p: ModPair, d: int) -> bool:

@@ -22,6 +22,7 @@ from .core import (
     ModPair,
     OpCounts,
     _outcome,
+    _record,
     _scan_closed,
     ffim_closed_form,
 )
@@ -241,9 +242,7 @@ def ulp_gap(p: ModPair) -> UlpGap:
     return UlpGap(xi1=xi1, xi2=xi2)
 
 
-# Fields go into __dict__ directly, as in core's result types: the generated
-# frozen __init__ costs one object.__setattr__ per field on every probe.
-@dataclass(frozen=True, init=False)
+@_record
 class FloatProbeResult:
     """Side-by-side outcome of one exact and one float scan."""
 
@@ -255,27 +254,6 @@ class FloatProbeResult:
     d_float: Optional[int]
     r_error: float
     verdict: str
-
-    def __init__(
-        self,
-        e: int,
-        n: int,
-        epsilon: float,
-        k_exact: int,
-        i_float: Optional[int],
-        d_float: Optional[int],
-        r_error: float,
-        verdict: str,
-    ):
-        fields = self.__dict__
-        fields["e"] = e
-        fields["n"] = n
-        fields["epsilon"] = epsilon
-        fields["k_exact"] = k_exact
-        fields["i_float"] = i_float
-        fields["d_float"] = d_float
-        fields["r_error"] = r_error
-        fields["verdict"] = verdict
 
 
 def probe(p: ModPair, epsilon: float) -> FloatProbeResult:
@@ -400,6 +378,10 @@ def failure_report_to_json(r: FailureReport) -> str:
 
 
 def failure_report_from_json(text: str) -> FailureReport:
-    obj = json.loads(text)
+    """Inverse of failure_report_to_json; malformed input raises DomainError."""
     fields = get_type_hints(FailureReport)  # JSON arrays become the tuple fields
-    return FailureReport(**{f: tuple(obj[f]) if t is tuple else obj[f] for f, t in fields.items()})
+    try:
+        obj = json.loads(text)
+        return FailureReport(**{f: tuple(obj[f]) if t is tuple else obj[f] for f, t in fields.items()})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed failure report: {exc!r}") from exc

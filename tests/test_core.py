@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
 import random
@@ -488,6 +489,35 @@ class TestResultTypes:
             ModPair(66, 60)
 
 
+def _dataclass_twin(cls):
+    """The class a plain @dataclass(frozen=True) makes from cls's fields."""
+    spec = [(f.name, f.type, dataclasses.field(default=f.default)) for f in dataclasses.fields(cls)]
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
+
+
+@pytest.mark.parametrize(
+    "cls", [OpCounts, InverseOutcome, floatlab.FloatProbeResult], ids=lambda c: c.__name__
+)
+def test_record_init_matches_dataclass(cls):
+    twin = _dataclass_twin(cls)
+    assert inspect.signature(cls) == inspect.signature(twin)
+    fields = dataclasses.fields(cls)
+    required = sum(f.default is dataclasses.MISSING for f in fields)
+    bad_calls = [
+        lambda c: c(*range(len(fields)), no_such_field=0),
+        lambda c: c(*range(len(fields) + 1)),
+    ]
+    if required:  # every OpCounts field has a default
+        bad_calls.append(lambda c: c(*range(required - 1)))
+    for call in bad_calls:
+        messages = []
+        for c in (twin, cls):
+            with pytest.raises(TypeError) as info:
+                call(c)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
 class TestOutcomeRefusal:
     @pytest.mark.parametrize("d_raw", [42, 44, 1, 0, 60, -60, 120])
     def test_non_inverse_raises_naming_value(self, d_raw):
@@ -541,8 +571,9 @@ class TestPublicApi:
 # ----------------------------------------------------------------------------
 # Every exception class of core, floatlab and benchmark survives pickling, as
 # multiprocessing needs. Each case raises its error the way the library does;
-# the trace refusal is raised under a patched MAX_TRACE_ROWS and unpickled
-# after the patch is undone, so its message must travel as built.
+# the trace refusal and a second sequential refusal are raised under a patched
+# MAX_TRACE_ROWS or SEQUENTIAL_BUDGET and unpickled after the patch is undone,
+# so their messages must travel as built.
 
 
 def _trace_refusal(monkeypatch):
@@ -595,10 +626,23 @@ def test_raisers_cover_every_exception_class():
     assert defined == set(RAISERS)
 
 
-@pytest.mark.parametrize("name", sorted(RAISERS))
-def test_exception_pickle_round_trip(name, monkeypatch):
+def _patched_budget_refusal(monkeypatch):
+    monkeypatch.setattr(core, "SEQUENTIAL_BUDGET", 10)
+    sequential_inverse(ModPair(3, 10**6 + 3))
+
+
+@pytest.mark.parametrize(
+    "name, raiser",
+    [pytest.param(name, RAISERS[name], id=name) for name in sorted(RAISERS)]
+    + [
+        pytest.param(
+            "ScanBudgetError", _patched_budget_refusal, id="ScanBudgetError-patched"
+        )
+    ],
+)
+def test_exception_pickle_round_trip(name, raiser, monkeypatch):
     with pytest.raises(Exception) as info:
-        RAISERS[name](monkeypatch)
+        raiser(monkeypatch)
     err = info.value
     assert type(err).__name__ == name
     monkeypatch.undo()

@@ -752,6 +752,20 @@ class TestScanFailures:
         )
         assert failure_report_from_json(text) == report
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            "nope",
+            "[]",
+            '{"epsilon": 1e-13, "pairs": 0, "verdicts": {}, '
+            '"decile_mean_r_error": 5, "witnesses": []}',
+        ],
+    )
+    def test_malformed_json_refused(self, text):
+        with pytest.raises(DomainError, match="malformed failure report"):
+            failure_report_from_json(text)
+
     def test_ordering_and_bounds(self):
         report = scan_failures(5, 30, 3, 16, 1e-9, 2)
         assert report.pairs > 0
