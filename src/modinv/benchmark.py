@@ -18,14 +18,13 @@ from dataclasses import asdict, astuple, dataclass
 from typing import Optional, Sequence, Union, get_type_hints
 
 from .core import (
-    SEQUENTIAL_BUDGET,
     AlgorithmId,
     DomainError,
     InternalConsistencyError,
     ModPair,
     OpCounts,
     ScanBudgetError,
-    _scan_closed,
+    _sequential_refused,
     verify_inverse,
 )
 
@@ -144,14 +143,9 @@ def run_benchmark(
     """
     if not pairs or not algs:
         raise DomainError("need at least one pair and one algorithm")
-    if AlgorithmId.FFIM_FLOAT in algs:
-        raise DomainError("the float scan is measured in the float error lab")
     if repetitions < 1:
         raise DomainError("repetitions must be >= 1")
-    if AlgorithmId.SEQUENTIAL in algs and any(
-        p.n > SEQUENTIAL_BUDGET and _scan_closed(p.e - 1, p.e, p.n) > SEQUENTIAL_BUDGET
-        for p in pairs
-    ):
+    if AlgorithmId.SEQUENTIAL in algs and any(map(_sequential_refused, pairs)):
         raise ScanBudgetError()
     if spec is not None:
         n_bits = spec.n_bits

@@ -38,10 +38,10 @@ def parse_int(text: str) -> int:
 
 def _algorithm(name: str) -> AlgorithmId:
     """An exact algorithm by name; the float variant belongs to scan-float."""
-    for alg in EXACT_ALGORITHMS:
-        if alg.value == name:
-            return alg
-    raise argparse.ArgumentTypeError(f"not an exact algorithm: {name!r}")
+    try:
+        return AlgorithmId(name)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an exact algorithm: {name!r}") from None
 
 
 def _algorithms(text: str) -> tuple:

@@ -188,7 +188,7 @@ RowSink = Callable[[tuple], object]
 
 # How far a literal scan may run: SCAN_PREFIX steps untraced (baghdad and
 # ffim_exact), SEQUENTIAL_BUDGET untraced (sequential), MAX_TRACE_ROWS with a
-# sink. _scan_index alone applies these limits.
+# sink. _scan_index applies the first and last, _sequential_refused the budget.
 SCAN_PREFIX = 1 << 12
 SEQUENTIAL_BUDGET = 1 << 24
 MAX_TRACE_ROWS = 10**6
@@ -239,14 +239,21 @@ def _scan_index(alg, limit, m, step, mod, emit) -> int:
     return j
 
 
+def _sequential_refused(p: ModPair) -> bool:
+    """Whether an untraced sequential scan of p would pass SEQUENTIAL_BUDGET."""
+    # the literal oracle refuses the closed form
+    return p.n > SEQUENTIAL_BUDGET and _scan_closed(p.e - 1, p.e, p.n) > SEQUENTIAL_BUDGET
+
+
 def sequential_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     """Trivial search: try d = 1, 2, 3, ... until e*d is 1 modulo n."""
     e, n = p.e, p.n
-    emit = None if sink is None else lambda d, m: sink((d, (m + 1) % n))
-    # the residue is e*d - 1 mod n
-    d = _scan_index("sequential", SEQUENTIAL_BUDGET, e - 1, e, n, emit)
-    if d > SEQUENTIAL_BUDGET:  # the literal oracle refuses the closed form
+    if sink is None and _sequential_refused(p):
         raise ScanBudgetError()
+    emit = None if sink is None else lambda d, m: sink((d, (m + 1) % n))
+    # the residue is e*d - 1 mod n; untraced, the budget is checked, so the
+    # scan runs literally to its end
+    d = _scan_index("sequential", n, e - 1, e, n, emit)
     # per candidate: one multiply (e*d), one reduction, one compare; d - 1
     # increments of the candidate itself
     ops = OpCounts(additions=d - 1, multiplications=d, divisions=d, comparisons=d)
@@ -542,9 +549,9 @@ def ffim_closed_form(p: ModPair) -> InverseOutcome:
 class AlgorithmId(enum.Enum):
     """The algorithm table. Each member's value is its name; ``func`` is its
     exact function and ``headers`` the layout of the rows its sink receives.
-    The float variant lives in the float error lab and has neither."""
+    The float variant lives in the float error lab, outside this table."""
 
-    def __new__(cls, value: str, func=None, headers=None):
+    def __new__(cls, value: str, func, headers):
         member = object.__new__(cls)
         member._value_ = value
         member.func = func
@@ -561,13 +568,12 @@ class AlgorithmId(enum.Enum):
     GORDON = ("gordon", gordon_inverse, ("g", "u", "i", "v", "q"))
     BAGHDAD = ("baghdad", baghdad_inverse, ("d", "result"))
     FFIM_EXACT = ("ffim_exact", ffim_exact_inverse, ("i", "s_f", "d_f", "r"))
-    FFIM_FLOAT = "ffim_float"
 
     def __str__(self) -> str:
         return self.value
 
 
-EXACT_ALGORITHMS = tuple(alg for alg in AlgorithmId if alg.func is not None)
+EXACT_ALGORITHMS = tuple(AlgorithmId)
 
 
 def run_exhaustive_validation(n_max: int):
@@ -621,5 +627,7 @@ def rsa_toy_keygen(p: int, q: int, e: int):
         if not is_prime(value):
             raise DomainError(f"{value} is not prime")
     totient = (p - 1) * (q - 1)
+    if not 1 < e < totient:
+        raise DomainError(f"e must lie in (1, phi) = (1, {totient}), got {e}")
     d = euclid_inverse(ModPair(e, totient)).d
     return p * q, e, d

@@ -377,11 +377,19 @@ def failure_report_to_json(r: FailureReport) -> str:
     return json.dumps(asdict(r))
 
 
+# The JSON types failure_report_to_json writes for each field type; a JSON
+# true or false is none of them, though Python's bool is an int.
+_JSON_TYPES = {float: (int, float), int: int, dict: dict, tuple: list}
+
+
 def failure_report_from_json(text: str) -> FailureReport:
     """Inverse of failure_report_to_json; malformed input raises DomainError."""
     fields = get_type_hints(FailureReport)  # JSON arrays become the tuple fields
     try:
         obj = json.loads(text)
+        for f, t in fields.items():
+            if isinstance(obj[f], bool) or not isinstance(obj[f], _JSON_TYPES[t]):
+                raise TypeError(f"{f} is {obj[f]!r}")
         return FailureReport(**{f: tuple(obj[f]) if t is tuple else obj[f] for f, t in fields.items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed failure report: {exc!r}") from exc

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import core
 from .core import (
-    EXACT_ALGORITHMS,
+    EXACT_ALGORITHMS,  # re-exported
     MAX_TRACE_ROWS,  # re-exported; traced_inverse reads core's binding
     AlgorithmId,
     DomainError,
@@ -22,14 +22,13 @@ from .core import (
     TraceTooLongError,
 )
 
-# The exact algorithms' functions keyed by id: a view of core's table.
-ALGORITHM_FUNCS = {alg: alg.func for alg in EXACT_ALGORITHMS}
+# The algorithms' functions keyed by id: a view of core's table.
+ALGORITHM_FUNCS = {alg: alg.func for alg in AlgorithmId}
 
 
 @dataclass(frozen=True)
 class StepTrace:
-    algorithm: AlgorithmId
-    headers: tuple
+    algorithm: AlgorithmId  # its headers lay out the rows
     rows: tuple
     final: InverseOutcome
 
@@ -42,8 +41,6 @@ def traced_inverse(alg: AlgorithmId, p: ModPair):
     more than core.MAX_TRACE_ROWS rows: the scans before their first row,
     the log-time loops at the row past the cap.
     """
-    if alg not in EXACT_ALGORITHMS:
-        raise DomainError(f"algorithm {alg} cannot be traced here")
     rows = []
     cap = core.MAX_TRACE_ROWS
 
@@ -53,7 +50,7 @@ def traced_inverse(alg: AlgorithmId, p: ModPair):
         rows.append(row)
 
     outcome = alg.func(p, sink)
-    return outcome, StepTrace(alg, alg.headers, tuple(rows), outcome)
+    return outcome, StepTrace(alg, tuple(rows), outcome)
 
 
 def knuth_expected_divisions(n: int) -> float:
@@ -68,7 +65,7 @@ def render_trace(t: StepTrace, format: str = "table") -> str:
     if format == "json":
         payload = {
             "algorithm": t.algorithm.value,
-            "headers": list(t.headers),
+            "headers": list(t.algorithm.headers),
             "rows": [[str(v) for v in row] for row in t.rows],
             "d": str(t.final.d),
             "k": str(t.final.k),
@@ -78,11 +75,11 @@ def render_trace(t: StepTrace, format: str = "table") -> str:
     if format != "table":
         raise DomainError(f"unknown trace format: {format!r}")
     cells = [[str(v) for v in row] for row in t.rows]
-    widths = [len(h) for h in t.headers]
+    widths = [len(h) for h in t.algorithm.headers]
     for row in cells:
         for j, c in enumerate(row):
             widths[j] = max(widths[j], len(c))
-    lines = ["  ".join(h.rjust(w) for h, w in zip(t.headers, widths))]
+    lines = ["  ".join(h.rjust(w) for h, w in zip(t.algorithm.headers, widths))]
     for row in cells:
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     lines.append(

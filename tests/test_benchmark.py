@@ -78,11 +78,6 @@ class TestRunBenchmark:
                 b.mean_cmps,
             )
 
-    def test_float_algorithm_rejected(self):
-        spec = WorkloadSpec(n_bits=8, samples=2, e_mode=RANDOM_COPRIME, seed=0)
-        with pytest.raises(DomainError):
-            run_benchmark(generate_workload(spec), [AlgorithmId.FFIM_FLOAT], spec=spec)
-
     def test_empty_inputs_refused(self):
         pairs = generate_workload(WorkloadSpec(n_bits=8, samples=2, e_mode=RANDOM_COPRIME, seed=0))
         with pytest.raises(DomainError, match="at least one pair"):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import modinv
 from modinv import core
-from modinv.cli import main, parse_int, rsa_toy_keygen, run_exhaustive_validation
+from modinv.cli import build_parser, main, parse_int, rsa_toy_keygen, run_exhaustive_validation
 from modinv.core import (
     AlgorithmId,
     DomainError,
@@ -355,6 +356,18 @@ class TestKeygenDemo:
         code, _, _ = run(capsys, "keygen-demo", "--p", "9", "--q", "11", "--e", "7")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "p, q, e, phi",
+        [(5, 11, -3, 40), (5, 11, 41, 40), (5, 11, 1, 40), (2, 3, 7, 2)],
+        ids=["negative", "above-phi", "one", "phi-two"],
+    )
+    def test_exponent_outside_one_to_phi_refused(self, capsys, p, q, e, phi):
+        # each of these e is coprime to phi, but its key is degenerate: -3
+        # is no public exponent, and e = 1 or e = 41 = 1 mod 40 gives d = 1
+        code, out, err = run(capsys, "keygen-demo", "--p", str(p), "--q", str(q), "--e", str(e))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: e must lie in (1, phi) = (1, {phi}), got {e}\n")
+
     def test_keygen_guards(self):
         with pytest.raises(DomainError):
             rsa_toy_keygen(5, 5, 7)
@@ -390,6 +403,27 @@ class TestHelpers:
     def test_is_prime_below_two(self):
         assert not is_prime(0)
         assert not is_prime(1)
+
+
+def readme_cli_examples():
+    """The modinv commands of the README's CLI block, with continuation
+    lines joined and comments dropped, as argument lists."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_cli_examples_parse():
+    # parsed only, not run: a renamed command, flag or algorithm fails here
+    examples = readme_cli_examples()
+    assert len(examples) == 9
+    parser = build_parser()
+    for argv in examples:
+        assert argv[0] == "modinv", argv
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {' '.join(argv)}")
 
 
 # Runs in a fresh interpreter where any import of numpy fails: imports

@@ -389,6 +389,20 @@ def test_outcome_contract_on_example(func):
     assert 0 <= o.k < p.e
 
 
+@pytest.mark.parametrize("alg", AlgorithmId)
+def test_every_table_member_runs_everywhere(alg, monkeypatch):
+    # each member has a function that the tracer and the harness both run
+    p = ModPair(7, 60)
+    assert alg.func(p).d == 43
+    outcome, trace = traced_inverse(alg, p)
+    assert outcome.d == trace.final.d == 43
+    func, outcomes = alg.func, []
+    monkeypatch.setattr(alg, "func", lambda p: outcomes.append(func(p)) or outcomes[-1])
+    (row,) = benchmark.run_benchmark([p], [alg], repetitions=1).rows
+    assert [o.d for o in outcomes] == [43]
+    assert (row.algorithm, row.samples, row.failures) == (alg.value, 1, 0)
+
+
 def test_large_operands():
     # 128-bit pair; cross-checked between structurally different algorithms
     n = (1 << 127) + 1

@@ -760,6 +760,19 @@ class TestScanFailures:
             "[]",
             '{"epsilon": 1e-13, "pairs": 0, "verdicts": {}, '
             '"decile_mean_r_error": 5, "witnesses": []}',
+            # each field needs the JSON type failure_report_to_json writes
+            '{"epsilon": 1e-13, "pairs": "12", "verdicts": {}, '
+            '"decile_mean_r_error": [], "witnesses": []}',
+            '{"epsilon": 1e-13, "pairs": true, "verdicts": {}, '
+            '"decile_mean_r_error": [], "witnesses": []}',
+            '{"epsilon": "tiny", "pairs": 0, "verdicts": {}, '
+            '"decile_mean_r_error": [], "witnesses": []}',
+            '{"epsilon": 1e-13, "pairs": 0, "verdicts": [1, 2], '
+            '"decile_mean_r_error": [], "witnesses": []}',
+            '{"epsilon": 1e-13, "pairs": 0, "verdicts": {}, '
+            '"decile_mean_r_error": "abc", "witnesses": []}',
+            '{"epsilon": 1e-13, "pairs": 0, "verdicts": {}, '
+            '"decile_mean_r_error": [], "witnesses": "abc"}',
         ],
     )
     def test_malformed_json_refused(self, text):

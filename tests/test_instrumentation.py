@@ -81,10 +81,6 @@ class TestTracedInverse:
         outcome, trace = traced_inverse(AlgorithmId.EUCLID, ModPair(355, 613))
         assert outcome.ops.divisions == len(trace.rows) - 1
 
-    def test_float_algorithm_refused(self):
-        with pytest.raises(DomainError):
-            traced_inverse(AlgorithmId.FFIM_FLOAT, ModPair(7, 60))
-
     def test_oversized_trace_refused(self):
         # sequential inverse of (3, n) with d close to n exceeds the cap; at
         # n = 3*10**12 + 1 an untraced scan would take about 2*10**12 steps,
