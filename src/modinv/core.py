@@ -15,7 +15,6 @@ through.
 
 from __future__ import annotations
 
-import copyreg
 import enum
 import math
 from collections.abc import Callable
@@ -27,49 +26,43 @@ class DomainError(ValueError):
 
 
 class NoInverseError(ValueError):
-    """The operand shares a nontrivial divisor with the modulus."""
+    """gcd(e, n) > 1: no inverse exists; args are (e, n, common_divisor)."""
 
     def __init__(self, e: int, n: int, common_divisor: int):
-        super().__init__(f"no inverse: gcd({e}, {n}) = {common_divisor}")
+        super().__init__(e, n, common_divisor)
         self.e = e
         self.n = n
         self.common_divisor = common_divisor
 
-    def __reduce__(self):  # pickle would pass the message to __init__
-        return type(self), (self.e, self.n, self.common_divisor)
+    def __str__(self) -> str:
+        return f"no inverse: gcd({self.e}, {self.n}) = {self.common_divisor}"
 
 
 class InternalConsistencyError(RuntimeError):
     """A provably unreachable iteration cap was exhausted."""
 
 
-def _reduce_keeping_message(self):
-    # pickle would pass the message to __init__, and rebuilding it would read
-    # a cap that may have been patched since
-    return copyreg.__newobj__, (type(self), *self.args)
+# The refusals below keep the limit they hit in args and build their message
+# from args alone, so the default pickling (type, args, __dict__) restores
+# them whatever the limit reads when they are unpickled.
 
 
 class ScanBudgetError(DomainError):
-    """The literal sequential scan was refused: its index passes
-    SEQUENTIAL_BUDGET."""
+    """The literal sequential scan passes its budget; args are (limit,)."""
 
-    def __init__(self):
-        super().__init__(
-            f"sequential scan passed SEQUENTIAL_BUDGET = {SEQUENTIAL_BUDGET} steps"
-        )
+    def __init__(self, limit: int | None = None):
+        super().__init__(SEQUENTIAL_BUDGET if limit is None else limit)
 
-    __reduce__ = _reduce_keeping_message
+    def __str__(self) -> str:
+        return f"sequential scan passed SEQUENTIAL_BUDGET = {self.args[0]} steps"
 
 
 class TraceTooLongError(DomainError):
-    """Tracing refused: the run would record more than MAX_TRACE_ROWS rows."""
+    """Tracing refused past a row cap; args are (algorithm name, cap)."""
 
-    def __init__(self, alg):
-        super().__init__(
-            f"trace of {alg} would exceed {MAX_TRACE_ROWS} rows; run untraced instead"
-        )
-
-    __reduce__ = _reduce_keeping_message
+    def __str__(self) -> str:
+        alg, limit = self.args
+        return f"trace of {alg} would exceed {limit} rows; run untraced instead"
 
 
 def gcd(a: int, b: int) -> int:
@@ -231,7 +224,7 @@ def _scan_index(alg, limit, m, step, mod, emit) -> int:
     limit = limit if emit is None else MAX_TRACE_ROWS
     if mod > limit and (j := _scan_closed(m, step, mod)) > limit:
         if emit is not None:
-            raise TraceTooLongError(alg)
+            raise TraceTooLongError(alg, limit)
         return j
     j = _scan(m, step, mod, mod, emit)
     if j is None:

@@ -12,7 +12,6 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Optional, get_type_hints
 
 from .core import (
@@ -236,6 +235,8 @@ class UlpGap:
 
 
 def ulp_gap(p: ModPair) -> UlpGap:
+    from fractions import Fraction  # here, so scan-float runs without it
+
     _check_float_domain(p)
     xi1 = abs(Fraction(1 / p.e) - Fraction(1, p.e))
     xi2 = abs(Fraction(p.n / p.e) - Fraction(p.n, p.e))
@@ -383,13 +384,38 @@ _JSON_TYPES = {float: (int, float), int: int, dict: dict, tuple: list}
 
 
 def failure_report_from_json(text: str) -> FailureReport:
-    """Inverse of failure_report_to_json; malformed input raises DomainError."""
+    """Inverse of failure_report_to_json: reads back only a report that
+    scan_failures could have written, and raises DomainError on any other."""
     fields = get_type_hints(FailureReport)  # JSON arrays become the tuple fields
     try:
         obj = json.loads(text)
         for f, t in fields.items():
             if isinstance(obj[f], bool) or not isinstance(obj[f], _JSON_TYPES[t]):
                 raise TypeError(f"{f} is {obj[f]!r}")
-        return FailureReport(**{f: tuple(obj[f]) if t is tuple else obj[f] for f, t in fields.items()})
+        r = FailureReport(**{f: tuple(obj[f]) if t is tuple else obj[f] for f, t in fields.items()})
+        _check_epsilon(r.epsilon)  # its DomainError is a ValueError
+        counts = r.verdicts.values()
+        if (
+            r.verdicts.keys() != set(VERDICTS)
+            or not all(type(c) is int and c >= 0 for c in counts)
+            or sum(counts) != r.pairs
+        ):
+            raise ValueError(f"verdicts {r.verdicts!r} for {r.pairs} pairs")
+        deciles = r.decile_mean_r_error
+        if len(deciles) != 10 or not all(
+            x is None or type(x) in (int, float) and x >= 0 for x in deciles
+        ):
+            raise ValueError(f"decile_mean_r_error is {deciles!r}")
+        for w in r.witnesses:
+            if not (
+                isinstance(w, dict)
+                and w.keys() == {"e", "n", "k", "verdict"}
+                and all(isinstance(w[f], str) and w[f].isascii() and w[f].isdecimal() for f in "enk")
+                and w["verdict"] in VERDICTS[1:]  # every verdict but agree
+            ):
+                raise ValueError(f"witness {w!r}")
+        if len(r.witnesses) != min(r.pairs - r.verdicts[VERDICT_AGREE], MAX_WITNESSES):
+            raise ValueError(f"{len(r.witnesses)} witnesses for {r.pairs} pairs")
+        return r
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed failure report: {exc!r}") from exc

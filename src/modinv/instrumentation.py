@@ -46,7 +46,7 @@ def traced_inverse(alg: AlgorithmId, p: ModPair):
 
     def sink(row):
         if len(rows) == cap:
-            raise TraceTooLongError(alg)
+            raise TraceTooLongError(alg.value, cap)
         rows.append(row)
 
     outcome = alg.func(p, sink)

@@ -501,6 +501,20 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
 
 
+def test_scan_float_skips_fractions():
+    # only ulp_gap needs Fraction, and scan-float never calls it
+    argv = ["scan-float", "--e-min", "3", "--e-max", "20", "--samples-per-e", "1",
+            "--n-bits", "24", "--epsilon", "1e-9"]
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_CHILD, *argv],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.splitlines()[-1].split())
+    assert "modinv.floatlab" in modules
+    assert "fractions" not in modules
+
+
 # Runs in a fresh interpreter where any import of numpy fails: probes each
 # (e, n) pair of argv[1] at epsilon 1e-11 and runs the float scan.
 FLOAT_CHILD = """

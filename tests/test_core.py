@@ -665,3 +665,17 @@ def test_exception_pickle_round_trip(name, raiser, monkeypatch):
     assert str(restored) == str(err)
     for attr in ("e", "n", "common_divisor", "i"):
         assert getattr(restored, attr, None) == getattr(err, attr, None), attr
+
+
+def test_refusals_carry_their_data(monkeypatch):
+    assert core.ScanBudgetError().args == (SEQUENTIAL_BUDGET,)
+    monkeypatch.setattr(core, "MAX_TRACE_ROWS", 3)
+    # euclid is refused by the tracer's row cap, sequential by the scan's limit
+    for alg in (AlgorithmId.EUCLID, AlgorithmId.SEQUENTIAL):
+        with pytest.raises(core.TraceTooLongError) as refusal:
+            traced_inverse(alg, ModPair(7, 60))
+        assert refusal.value.args == (alg.value, 3)
+        assert type(refusal.value.args[0]) is str
+    with pytest.raises(NoInverseError) as refusal:
+        ModPair(4, 6)
+    assert refusal.value.args == (4, 6, 2)

@@ -773,6 +773,25 @@ class TestScanFailures:
             '"decile_mean_r_error": "abc", "witnesses": []}',
             '{"epsilon": 1e-13, "pairs": 0, "verdicts": {}, '
             '"decile_mean_r_error": [], "witnesses": "abc"}',
+            # each field's contents must be ones scan_failures can write
+            '{"epsilon": 1e-13, "pairs": -5, "verdicts": {"agree": 0, '
+            '"wrong_answer": 0, "missed_termination": 0, "early_termination": 0}, '
+            '"decile_mean_r_error": [null, null, null, null, null, null, null, '
+            'null, null, null], "witnesses": []}',
+            '{"epsilon": 1e-13, "pairs": 0, "verdicts": {"agree": "x"}, '
+            '"decile_mean_r_error": [null, null, null, null, null, null, null, '
+            'null, null, null], "witnesses": []}',
+            '{"epsilon": 1e-13, "pairs": 0, "verdicts": {"agree": 0, '
+            '"wrong_answer": 0, "missed_termination": 0, "early_termination": 0}, '
+            '"decile_mean_r_error": ["a"], "witnesses": []}',
+            '{"epsilon": 1e-13, "pairs": 1, "verdicts": {"agree": 0, '
+            '"wrong_answer": 1, "missed_termination": 0, "early_termination": 0}, '
+            '"decile_mean_r_error": [0.0, null, null, null, null, null, null, '
+            'null, null, null], "witnesses": [1]}',
+            '{"epsilon": 0.7, "pairs": 0, "verdicts": {"agree": 0, '
+            '"wrong_answer": 0, "missed_termination": 0, "early_termination": 0}, '
+            '"decile_mean_r_error": [null, null, null, null, null, null, null, '
+            'null, null, null], "witnesses": []}',
         ],
     )
     def test_malformed_json_refused(self, text):
