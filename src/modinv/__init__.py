@@ -31,7 +31,6 @@ _SUBMODULE = {
     "generate_workload": "benchmark",
     "gordon_inverse": "core",
     "knuth_expected_divisions": "instrumentation",
-    "parse_report": "benchmark",
     "probe": "floatlab",
     "render_trace": "instrumentation",
     "run_benchmark": "benchmark",

@@ -14,8 +14,8 @@ import math
 import random
 import statistics
 import time
-from dataclasses import asdict, astuple, dataclass
-from typing import Optional, Sequence, Union, get_type_hints
+from dataclasses import asdict, astuple, dataclass, fields
+from typing import Optional, Sequence, Union
 
 from .core import (
     AlgorithmId,
@@ -196,7 +196,7 @@ def run_benchmark(
     return BenchReport(rows=tuple(rows))
 
 
-CSV_HEADER = ",".join(get_type_hints(BenchRow))
+CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
 def emit_report(r: BenchReport, format: str = "csv") -> str:
@@ -212,26 +212,3 @@ def emit_report(r: BenchReport, format: str = "csv") -> str:
         rows = [{**asdict(row), "max_iters": str(row.max_iters)} for row in r.rows]
         return json.dumps({"rows": rows})
     raise DomainError(f"unknown report format: {format!r}")
-
-
-def parse_report(text: str, format: str = "csv") -> BenchReport:
-    """Inverse of emit_report for both formats; a malformed report raises
-    DomainError."""
-    if format not in ("csv", "json"):
-        raise DomainError(f"unknown report format: {format!r}")
-    columns = get_type_hints(BenchRow)  # each column's parser: str, int or float
-    try:
-        if format == "csv":
-            reader = csv.reader(io.StringIO(text))
-            if next(reader, None) != list(columns):
-                raise ValueError("unexpected CSV header")
-            # a row with too few or too many cells raises ValueError
-            records = (dict(zip(columns, record, strict=True)) for record in reader)
-        else:
-            records = json.loads(text)["rows"]
-        rows = tuple(
-            BenchRow(**{f: parse(obj[f]) for f, parse in columns.items()}) for obj in records
-        )
-    except (csv.Error, KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed {format} report: {exc!r}") from exc
-    return BenchReport(rows=rows)

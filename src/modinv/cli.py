@@ -2,7 +2,7 @@
 
 Exit codes: 0 success; 1 mathematical failure (no inverse, discrepancy,
 non-coprime exponent) or an internal inconsistency; 2 usage or environment
-error, or a refusal (any DomainError).
+error, a refusal (any DomainError) or a number past Python's digit limit.
 """
 
 from __future__ import annotations
@@ -26,14 +26,24 @@ from .core import (
 )
 
 
+# Python refuses int <-> decimal str conversions past sys.get_int_max_str_digits()
+# digits with a ValueError. The limit is the interpreter's, and main may run
+# inside another program, so the CLI refuses such a number and leaves the limit
+# be. _digit_limit gives the refusal's text for that ValueError, else None.
+def _digit_limit(err: ValueError) -> str | None:
+    if "integer string conversion" in str(err):
+        return f"more than {sys.get_int_max_str_digits()} decimal digits (PYTHONINTMAXSTRDIGITS)"
+    return None
+
+
 def parse_int(text: str) -> int:
     """Integer argument, decimal or 0x-prefixed hex, after one optional sign."""
     try:
         if text.strip().lstrip("+-")[:2].lower() == "0x":
             return int(text, 16)
         return int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(_digit_limit(err) or f"not an integer: {text!r}")
 
 
 def _algorithm(name: str) -> AlgorithmId:
@@ -222,19 +232,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except NoInverseError as err:
+            print(f"no inverse: gcd={err.common_divisor}")
+            return 1
+        except (DomainError, OSError, InternalConsistencyError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1 if isinstance(err, InternalConsistencyError) else 2
+    except SystemExit as exc:  # argparse's usage errors, --help and --version
         return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
-    except NoInverseError as err:
-        print(f"no inverse: gcd={err.common_divisor}")
-        return 1
-    except (DomainError, OSError, InternalConsistencyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1 if isinstance(err, InternalConsistencyError) else 2
+    except ValueError as err:  # str() of a result's or a message's integer
+        if (reason := _digit_limit(err)) is None:
+            raise
+        print(f"error: an integer to print has {reason}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Optional, get_type_hints
+from typing import Optional
 
 from .core import (
     DomainError,
@@ -376,46 +376,3 @@ def scan_failures(
 
 def failure_report_to_json(r: FailureReport) -> str:
     return json.dumps(asdict(r))
-
-
-# The JSON types failure_report_to_json writes for each field type; a JSON
-# true or false is none of them, though Python's bool is an int.
-_JSON_TYPES = {float: (int, float), int: int, dict: dict, tuple: list}
-
-
-def failure_report_from_json(text: str) -> FailureReport:
-    """Inverse of failure_report_to_json: reads back only a report that
-    scan_failures could have written, and raises DomainError on any other."""
-    fields = get_type_hints(FailureReport)  # JSON arrays become the tuple fields
-    try:
-        obj = json.loads(text)
-        for f, t in fields.items():
-            if isinstance(obj[f], bool) or not isinstance(obj[f], _JSON_TYPES[t]):
-                raise TypeError(f"{f} is {obj[f]!r}")
-        r = FailureReport(**{f: tuple(obj[f]) if t is tuple else obj[f] for f, t in fields.items()})
-        _check_epsilon(r.epsilon)  # its DomainError is a ValueError
-        counts = r.verdicts.values()
-        if (
-            r.verdicts.keys() != set(VERDICTS)
-            or not all(type(c) is int and c >= 0 for c in counts)
-            or sum(counts) != r.pairs
-        ):
-            raise ValueError(f"verdicts {r.verdicts!r} for {r.pairs} pairs")
-        deciles = r.decile_mean_r_error
-        if len(deciles) != 10 or not all(
-            x is None or type(x) in (int, float) and x >= 0 for x in deciles
-        ):
-            raise ValueError(f"decile_mean_r_error is {deciles!r}")
-        for w in r.witnesses:
-            if not (
-                isinstance(w, dict)
-                and w.keys() == {"e", "n", "k", "verdict"}
-                and all(isinstance(w[f], str) and w[f].isascii() and w[f].isdecimal() for f in "enk")
-                and w["verdict"] in VERDICTS[1:]  # every verdict but agree
-            ):
-                raise ValueError(f"witness {w!r}")
-        if len(r.witnesses) != min(r.pairs - r.verdicts[VERDICT_AGREE], MAX_WITNESSES):
-            raise ValueError(f"{len(r.witnesses)} witnesses for {r.pairs} pairs")
-        return r
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed failure report: {exc!r}") from exc

@@ -377,6 +377,57 @@ class TestKeygenDemo:
             rsa_toy_keygen(5, 11, 5)
 
 
+@pytest.fixture
+def digit_limit():
+    """Python's default int/str digit limit, set for the test whatever
+    PYTHONINTMAXSTRDIGITS says."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(saved)
+
+
+class TestDigitLimit:
+    # a number past the limit is refused with exit 2, not a traceback; hex
+    # input has no limit, so n = 2^(4*limit) + 1 (coprime to 3) comes in whole
+
+    @pytest.mark.parametrize("command", ["inverse", "trace"])
+    def test_result_past_limit(self, capsys, digit_limit, command):
+        n = hex(2 ** (4 * digit_limit) + 1)
+        code, out, err = run(capsys, command, "--alg", "euclid", "--e", "3", "--n", n)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: an integer to print has more than {digit_limit} decimal digits "
+            "(PYTHONINTMAXSTRDIGITS)\n"
+        )
+
+    def test_trace_row_past_limit(self, capsys, digit_limit):
+        # n has exactly limit digits and so does d, but baghdad's row for
+        # k = 3 holds (1 + 3n)/5, one digit longer
+        n = str(10**digit_limit - 9)
+        code, out, _ = run(capsys, "inverse", "--alg", "baghdad", "--e", "5", "--n", n)
+        assert code == 0 and "k=4 iterations=4" in out
+        code, out, err = run(capsys, "trace", "--alg", "baghdad", "--e", "5", "--n", n)
+        assert (code, out) == (2, "")
+        assert f"more than {digit_limit} decimal digits" in err
+
+    def test_common_divisor_past_limit(self, capsys, digit_limit):
+        e, n = hex(2 ** (4 * digit_limit)), hex(2 ** (4 * digit_limit + 1))
+        code, out, err = run(capsys, "inverse", "--e", e, "--n", n)
+        assert (code, out) == (2, "")
+        assert f"more than {digit_limit} decimal digits" in err
+
+    def test_decimal_input_past_limit(self, capsys, digit_limit):
+        code, out, err = run(capsys, "inverse", "--e", "3", "--n", "7" * (digit_limit + 1))
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"argument --n: more than {digit_limit} decimal digits (PYTHONINTMAXSTRDIGITS)\n"
+        )
+        assert "7777" not in err  # the digits are not echoed
+
+
 class TestHelpers:
     def test_parse_int(self):
         assert parse_int("42") == 42
@@ -405,11 +456,14 @@ class TestHelpers:
         assert not is_prime(1)
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def readme_cli_examples():
     """The modinv commands of the README's CLI block, with continuation
     lines joined and comments dropped, as argument lists."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    cli_section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = cli_section.split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
 
 
@@ -424,6 +478,14 @@ def test_readme_cli_examples_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {' '.join(argv)}")
+
+
+def test_readme_python_examples_run():
+    # each ```python block runs as written, so it names no removed function
+    blocks = [b.split("```", 1)[0] for b in README.read_text().split("```python\n")[1:]]
+    assert len(blocks) == 1
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
 
 
 # Runs in a fresh interpreter where any import of numpy fails: imports

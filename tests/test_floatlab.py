@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 import pickle
 import random
@@ -32,7 +33,6 @@ from modinv.floatlab import (
     _float_hit,
     _threshold,
     _window_returns,
-    failure_report_from_json,
     failure_report_to_json,
 )
 
@@ -728,9 +728,18 @@ class TestScanFailures:
             assert pr.d_float is None and pr.i_float is not None, pr
 
     def test_json_round_trip(self):
-        report = scan_failures(3, 40, 1, 24, 1e-9, 1)
-        text = failure_report_to_json(report)
-        assert failure_report_from_json(text) == report
+        # one report where every pair agrees, one with wrong-answer witnesses
+        for report in (
+            scan_failures(3, 40, 1, 24, 1e-9, 1),
+            scan_failures(WRONG_E - 20, WRONG_E + 20, 1, 31, WRONG_EPSILON, 13),
+        ):
+            assert json.loads(failure_report_to_json(report)) == {
+                "epsilon": report.epsilon,
+                "pairs": report.pairs,
+                "verdicts": report.verdicts,
+                "decile_mean_r_error": list(report.decile_mean_r_error),
+                "witnesses": list(report.witnesses),
+            }
 
     def test_json_exact_bytes(self):
         report = FailureReport(
@@ -750,53 +759,6 @@ class TestScanFailures:
             'null, null, null, null, 0.0], "witnesses": [{"e": "309686", '
             '"n": "2535179246073379", "k": "123", "verdict": "missed_termination"}]}'
         )
-        assert failure_report_from_json(text) == report
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "{}",
-            "nope",
-            "[]",
-            '{"epsilon": 1e-13, "pairs": 0, "verdicts": {}, '
-            '"decile_mean_r_error": 5, "witnesses": []}',
-            # each field needs the JSON type failure_report_to_json writes
-            '{"epsilon": 1e-13, "pairs": "12", "verdicts": {}, '
-            '"decile_mean_r_error": [], "witnesses": []}',
-            '{"epsilon": 1e-13, "pairs": true, "verdicts": {}, '
-            '"decile_mean_r_error": [], "witnesses": []}',
-            '{"epsilon": "tiny", "pairs": 0, "verdicts": {}, '
-            '"decile_mean_r_error": [], "witnesses": []}',
-            '{"epsilon": 1e-13, "pairs": 0, "verdicts": [1, 2], '
-            '"decile_mean_r_error": [], "witnesses": []}',
-            '{"epsilon": 1e-13, "pairs": 0, "verdicts": {}, '
-            '"decile_mean_r_error": "abc", "witnesses": []}',
-            '{"epsilon": 1e-13, "pairs": 0, "verdicts": {}, '
-            '"decile_mean_r_error": [], "witnesses": "abc"}',
-            # each field's contents must be ones scan_failures can write
-            '{"epsilon": 1e-13, "pairs": -5, "verdicts": {"agree": 0, '
-            '"wrong_answer": 0, "missed_termination": 0, "early_termination": 0}, '
-            '"decile_mean_r_error": [null, null, null, null, null, null, null, '
-            'null, null, null], "witnesses": []}',
-            '{"epsilon": 1e-13, "pairs": 0, "verdicts": {"agree": "x"}, '
-            '"decile_mean_r_error": [null, null, null, null, null, null, null, '
-            'null, null, null], "witnesses": []}',
-            '{"epsilon": 1e-13, "pairs": 0, "verdicts": {"agree": 0, '
-            '"wrong_answer": 0, "missed_termination": 0, "early_termination": 0}, '
-            '"decile_mean_r_error": ["a"], "witnesses": []}',
-            '{"epsilon": 1e-13, "pairs": 1, "verdicts": {"agree": 0, '
-            '"wrong_answer": 1, "missed_termination": 0, "early_termination": 0}, '
-            '"decile_mean_r_error": [0.0, null, null, null, null, null, null, '
-            'null, null, null], "witnesses": [1]}',
-            '{"epsilon": 0.7, "pairs": 0, "verdicts": {"agree": 0, '
-            '"wrong_answer": 0, "missed_termination": 0, "early_termination": 0}, '
-            '"decile_mean_r_error": [null, null, null, null, null, null, null, '
-            'null, null, null], "witnesses": []}',
-        ],
-    )
-    def test_malformed_json_refused(self, text):
-        with pytest.raises(DomainError, match="malformed failure report"):
-            failure_report_from_json(text)
 
     def test_ordering_and_bounds(self):
         report = scan_failures(5, 30, 3, 16, 1e-9, 2)
