@@ -3,7 +3,8 @@
 All functions operate on Python's arbitrary-precision integers. Each
 algorithm returns an :class:`InverseOutcome` carrying the inverse, the
 Bezout-style witness, the iteration count, and per-operation tallies of
-its main loop.
+its main loop. An algorithm hands its tallies over as a tuple in
+:class:`OpCounts` field order; ``ops`` builds the OpCounts on first read.
 
 Each algorithm also takes an optional ``sink``, called with one row per
 loop pass (after a row for the initial state in Euclid, Stein and Gordon)
@@ -138,6 +139,23 @@ class OpCounts:
         return OpCounts(*[getattr(self, f.name) + getattr(other, f.name) for f in fields(self)])
 
 
+class _Tallies:
+    """InverseOutcome.ops. The algorithms store their tallies as a plain
+    tuple in OpCounts field order; the first read builds the OpCounts and
+    keeps it, so a caller that never reads them never pays for the object."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:  # so dataclass finds no default for the field
+            raise AttributeError("ops")
+        ops = obj.__dict__["ops"]
+        if type(ops) is tuple:
+            ops = obj.__dict__["ops"] = OpCounts(*ops)
+        return ops
+
+    def __set__(self, obj, value):  # a data descriptor, read before __dict__
+        obj.__dict__["ops"] = value
+
+
 @_record
 class InverseOutcome:
     """Result of one inverse computation.
@@ -148,7 +166,10 @@ class InverseOutcome:
     d: int
     k: int
     iterations: int
-    ops: OpCounts
+    ops: OpCounts = _Tallies()  # a descriptor, not a default
+
+    def __getstate__(self):  # pickles and copies carry the OpCounts
+        return {**self.__dict__, "ops": self.ops}
 
 
 def verify_inverse(p: ModPair, d: int) -> bool:
@@ -164,7 +185,7 @@ def witness_k(p: ModPair, d: int) -> int:
     return k
 
 
-def _outcome(p: ModPair, d_raw: int, iterations: int, ops: OpCounts) -> InverseOutcome:
+def _outcome(p: ModPair, d_raw: int, iterations: int, ops: OpCounts | tuple) -> InverseOutcome:
     # verify_inverse and k from one division: d lies in [0, n) and n >= 2,
     # so d = 0 leaves the remainder n - 1
     e, n = p.e, p.n
@@ -249,8 +270,7 @@ def sequential_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcom
     d = _scan_index("sequential", n, e - 1, e, n, emit)
     # per candidate: one multiply (e*d), one reduction, one compare; d - 1
     # increments of the candidate itself
-    ops = OpCounts(additions=d - 1, multiplications=d, divisions=d, comparisons=d)
-    return _outcome(p, d, d, ops)
+    return _outcome(p, d, d, (d - 1, 0, d, d, 0, d))
 
 
 def euclid_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
@@ -270,13 +290,7 @@ def euclid_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
             sink((g, u, i, v, q, v))
     # per pass: one division for q, two multiplies, two subtractions, the
     # loop-guard comparison (plus the final failing test)
-    ops = OpCounts(
-        subtractions=2 * its,
-        multiplications=2 * its,
-        divisions=its,
-        comparisons=its + 1,
-    )
-    return _outcome(p, i, its, ops)
+    return _outcome(p, i, its, (0, 2 * its, 2 * its, its, 0, its + 1))
 
 
 def _stein_row(
@@ -410,12 +424,8 @@ def stein_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     # fix adds n and subtracts e. Per pass: the failing parity test, the sign
     # test, 3 subtractions forming t, the sign-fix test and the until test; a
     # sign flip costs 2 subtractions and an addition, a wrap one of each.
-    ops = OpCounts(
-        additions=fixes + flips + wraps,
-        subtractions=fixes + 2 * flips + wraps + 3 * its,
-        shifts=3 * halvings,
-        comparisons=2 * halvings + 4 * its,
-    )
+    adds, subs = fixes + flips + wraps, fixes + 2 * flips + wraps + 3 * its
+    ops = (adds, subs, 0, 0, 3 * halvings, 2 * halvings + 4 * its)
     return _outcome(p, uc if n & 1 else (u3 + uc * n) // e, its, ops)
 
 
@@ -455,12 +465,8 @@ def gordon_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     # tallies of a shift-and-compare search for s. Per swap: loop guard and
     # u > g test. Per shifting pass: those two, s + 1 doublings (shift, add,
     # compare), a failing compare, 2 shifts, 2 subtractions. One last guard.
-    ops = OpCounts(
-        additions=doublings,
-        subtractions=2 * passes,
-        shifts=doublings + 2 * passes,
-        comparisons=2 * swaps + 3 * passes + doublings + 1,
-    )
+    cmps = 2 * swaps + 3 * passes + doublings + 1
+    ops = (doublings, 2 * passes, 0, 0, doublings + 2 * passes, cmps)
     return _outcome(p, i, swaps + passes, ops)
 
 
@@ -483,8 +489,7 @@ def baghdad_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     # the residue is (1 + k*n) mod e
     k = _scan_index("baghdad", SCAN_PREFIX, (1 + step) % e, step, e, emit)
     # per pass: one addition of n, one division by e, one integrality test
-    ops = OpCounts(additions=k, divisions=k, comparisons=k)
-    return _outcome(p, (1 + k * n) // e, k, ops)
+    return _outcome(p, (1 + k * n) // e, k, (k, 0, 0, k, 0, k))
 
 
 def _ffim_outcome(p: ModPair, a: int, b: int, i: int) -> InverseOutcome:
@@ -492,7 +497,7 @@ def _ffim_outcome(p: ModPair, a: int, b: int, i: int) -> InverseOutcome:
     both divisions; a = 0 is already solved, with d = (n+1)/e at i = 0."""
     e, n = p.e, p.n
     if a == 0:
-        return _outcome(p, (n + 1) // e, 0, OpCounts())
+        return _outcome(p, (n + 1) // e, 0, (0, 0, 0, 0, 0, 0))
     num = i * e - a
     if num % b:
         raise InternalConsistencyError("terminating index does not divide evenly")
@@ -501,8 +506,7 @@ def _ffim_outcome(p: ModPair, a: int, b: int, i: int) -> InverseOutcome:
         raise InternalConsistencyError("closing formula numerator not divisible by e")
     # per pass: one subtraction and one division forming r, one integrality
     # test, one increment of i
-    ops = OpCounts(additions=i, subtractions=i, divisions=i, comparisons=i)
-    return _outcome(p, d_num // e, i, ops)
+    return _outcome(p, d_num // e, i, (i, i, 0, i, 0, i))
 
 
 def ffim_exact_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:

@@ -8,8 +8,8 @@ witness k grows.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 import random
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -19,7 +19,6 @@ from .core import (
     InternalConsistencyError,
     InverseOutcome,
     ModPair,
-    OpCounts,
     _outcome,
     _record,
     _scan_closed,
@@ -209,7 +208,7 @@ def ffim_float_inverse(p: ModPair, epsilon: float) -> InverseOutcome:
     b = n % e
     if a == 0:
         # exact: a = 0 means e divides n + 1
-        return _outcome(p, (n + 1) // e, 0, OpCounts())
+        return _outcome(p, (n + 1) // e, 0, (0, 0, 0, 0, 0, 0))
     hit = _float_hit(e, a, b, epsilon, _scan_closed((e - a) % b, e % b, b))
     if hit is None:
         raise MissedTermination(
@@ -222,16 +221,16 @@ def ffim_float_inverse(p: ModPair, epsilon: float) -> InverseOutcome:
             f"index {i} gave r = {r} but (n*(round(r)+1)+1)/e is not an integer",
             i=i,
         )
-    ops = OpCounts(additions=i, subtractions=i, divisions=i, comparisons=i)
-    return InverseOutcome(d, (e * d - 1) // n, i, ops)
+    return InverseOutcome(d, (e * d - 1) // n, i, (i, i, 0, i, 0, i))
 
 
 @dataclass(frozen=True)
 class UlpGap:
     """Exact rational gaps between 1/e, n/e and their binary64 roundings."""
 
-    xi1: Fraction
-    xi2: Fraction
+    # Fractions; typed by their ABC, since fractions is imported only by ulp_gap
+    xi1: numbers.Rational
+    xi2: numbers.Rational
 
 
 def ulp_gap(p: ModPair) -> UlpGap:
@@ -375,4 +374,6 @@ def scan_failures(
 
 
 def failure_report_to_json(r: FailureReport) -> str:
+    import json  # here, so scan-float without --out runs without it
+
     return json.dumps(asdict(r))

@@ -7,7 +7,6 @@ replayed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -63,6 +62,8 @@ def knuth_expected_divisions(n: int) -> float:
 def render_trace(t: StepTrace, format: str = "table") -> str:
     """Deterministic textual rendering of a trace."""
     if format == "json":
+        import json  # here, so a table trace runs without it
+
         payload = {
             "algorithm": t.algorithm.value,
             "headers": list(t.algorithm.headers),

@@ -275,6 +275,19 @@ class TestBench:
         assert err == "error: sequential scan passed SEQUENTIAL_BUDGET = 16777216 steps\n"
         assert not out_file.exists()
 
+    def test_default_algs_leave_out_sequential(self, tmp_path, capsys):
+        # at 64 bits the sequential oracle would refuse every pair
+        out_file = tmp_path / "r.csv"
+        code, out, err = run(
+            capsys, "bench", "--bits", "64", "--samples", "20", "--seed", "7",
+            "--out", str(out_file),
+        )
+        assert (code, err) == (0, "")
+        rows = out_file.read_text().splitlines()[1:]
+        expected = [a.value for a in AlgorithmId if a is not AlgorithmId.SEQUENTIAL]
+        assert [row.split(",")[0] for row in rows] == expected
+        assert len(expected) == 5
+
     def test_unwritable_output(self, capsys):
         code, _, _ = run(
             capsys, "bench", "--bits", "10", "--samples", "2", "--seed", "1",
@@ -575,6 +588,24 @@ def test_scan_float_skips_fractions():
     modules = set(proc.stdout.splitlines()[-1].split())
     assert "modinv.floatlab" in modules
     assert "fractions" not in modules
+
+
+@pytest.mark.parametrize("argv,module", [
+    (["scan-float", "--e-min", "3", "--e-max", "20", "--samples-per-e", "1",
+      "--n-bits", "24", "--epsilon", "1e-9"], "modinv.floatlab"),
+    (["trace", "--e", "7", "--n", "60", "--alg", "euclid", "--format", "table"],
+     "modinv.instrumentation"),
+], ids=["scan-float", "trace-table"])
+def test_command_without_json_output_skips_json(argv, module):
+    # only a JSON report or trace needs the json module
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_CHILD, *argv],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.splitlines()[-1].split())
+    assert module in modules
+    assert not {"json", "json.decoder"} & modules
 
 
 # Runs in a fresh interpreter where any import of numpy fails: probes each

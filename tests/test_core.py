@@ -4,6 +4,7 @@ import inspect
 import math
 import pickle
 import random
+import typing
 
 import pytest
 
@@ -422,11 +423,14 @@ EXAMPLE_REPR = (
 
 
 def _example_values():
-    """Two equal but separately built instances of each result type."""
+    """Two equal but separately built instances of each result type. The
+    last outcome's ops is never read before the test gets it; its twin is
+    built directly with an OpCounts."""
     return [
         (ModPair(7, 60), ModPair(67, 60)),
         (OpCounts(1, 2, 3, 4, 5, 6), OpCounts(1, 2, 3, 4, 5, 6)),
         (euclid_inverse(ModPair(7, 60)), euclid_inverse(ModPair(67, 60))),
+        (stein_inverse(ModPair(7, 60)), InverseOutcome(43, 5, 4, OpCounts(8, 22, 0, 0, 21, 30))),
     ]
 
 
@@ -530,6 +534,68 @@ def test_record_init_matches_dataclass(cls):
                 call(c)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+
+class TestLazyTallies:
+    """An outcome keeps its tallies as a tuple until ops is first read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The OpCounts objects built while the test runs."""
+        built = []
+        init = OpCounts.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(OpCounts, "__init__", counting_init)
+        return built
+
+    # (e, n): a scan past SCAN_PREFIX, a literal scan, and a = (n + 1) mod e = 0
+    PAIRS = [(654321, 1000003), (7, 60), (7, 13)]
+
+    def test_untraced_runs_build_none(self, built):
+        outcomes = [func(ModPair(e, n)) for func in ALL_EXACT for e, n in self.PAIRS]
+        outcomes += [floatlab.ffim_float_inverse(ModPair(e, n), 1e-9) for e, n in self.PAIRS]
+        assert len({o.d for o in outcomes[:6 * len(self.PAIRS)]}) == len(self.PAIRS)
+        assert built == []
+
+    @pytest.mark.parametrize("func", ALL_EXACT, ids=lambda f: f.__name__)
+    def test_first_read_builds_one_and_keeps_it(self, built, func):
+        o = func(ModPair(7, 60))
+        ops = o.ops
+        assert len(built) == 1 and built[0] is ops
+        assert o.ops is ops
+        assert dataclasses.astuple(o) == (43, 5, o.iterations, dataclasses.astuple(ops))
+        assert len(built) == 1
+
+    def test_float_outcome_reads_as_exact_one(self):
+        p = ModPair(7, 60)
+        assert floatlab.ffim_float_inverse(p, 1e-9) == ffim_exact_inverse(p)
+
+    def test_direct_construction_keeps_the_given_opcounts(self, built):
+        ops = OpCounts(0, 8, 8, 4, 0, 5)
+        o = InverseOutcome(43, 5, 4, ops)
+        assert o.ops is ops
+        assert o == euclid_inverse(ModPair(7, 60))
+        assert len(built) == 2  # ops, and the euclid outcome's on its first read
+
+    def test_pickle_of_unread_outcome_carries_opcounts(self):
+        restored = pickle.loads(pickle.dumps(euclid_inverse(ModPair(7, 60))))
+        assert type(vars(restored)["ops"]) is OpCounts
+        assert restored == InverseOutcome(43, 5, 4, OpCounts(0, 8, 8, 4, 0, 5))
+
+
+def test_public_dataclass_hints_resolve():
+    import modinv
+
+    classes = [getattr(modinv, name) for name in modinv.__all__]
+    classes = [c for c in classes if isinstance(c, type) and dataclasses.is_dataclass(c)]
+    assert {c.__name__ for c in classes} >= {"InverseOutcome", "UlpGap", "StepTrace"}
+    for cls in classes:
+        hints = typing.get_type_hints(cls)
+        assert list(hints) == [f.name for f in dataclasses.fields(cls)], cls
 
 
 class TestOutcomeRefusal:
