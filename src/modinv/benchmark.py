@@ -14,8 +14,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import asdict, astuple, dataclass, fields
-from typing import Optional, Sequence, Union
+from collections.abc import Sequence
 
 from .core import (
     AlgorithmId,
@@ -24,6 +23,7 @@ from .core import (
     ModPair,
     OpCounts,
     ScanBudgetError,
+    _record,
     _sequential_refused,
     verify_inverse,
 )
@@ -43,29 +43,29 @@ RANDOM_COPRIME = "random_coprime"
 SMALL_E_PRESET = (3, 5, 17, 257, 65537)
 
 
-@dataclass(frozen=True)
+@_record
 class WorkloadSpec:
     n_bits: int
     samples: int
-    e_mode: Union[str, tuple]  # RANDOM_COPRIME or a tuple of fixed e values
+    e_mode: str | tuple  # RANDOM_COPRIME or a tuple of fixed e values
     seed: int
 
-    def __post_init__(self):
-        if self.n_bits < 2:
-            raise DomainError(f"n_bits must be >= 2, got {self.n_bits}")
-        if self.samples < 1:
-            raise DomainError(f"samples must be >= 1, got {self.samples}")
-        if self.e_mode != RANDOM_COPRIME:
-            fixed = self.e_mode
+    def __init__(self, n_bits: int, samples: int, e_mode: str | tuple, seed: int):
+        if n_bits < 2:
+            raise DomainError(f"n_bits must be >= 2, got {n_bits}")
+        if samples < 1:
+            raise DomainError(f"samples must be >= 1, got {samples}")
+        if e_mode != RANDOM_COPRIME:
             if not (
-                isinstance(fixed, (tuple, list))
-                and fixed
-                and all(isinstance(e, int) and e >= 2 for e in fixed)
+                isinstance(e_mode, (tuple, list))
+                and e_mode
+                and all(isinstance(e, int) and e >= 2 for e in e_mode)
             ):
                 raise DomainError(
-                    f"e_mode must be {RANDOM_COPRIME!r} or a list of ints >= 2, got {fixed!r}"
+                    f"e_mode must be {RANDOM_COPRIME!r} or a list of ints >= 2, got {e_mode!r}"
                 )
-            object.__setattr__(self, "e_mode", tuple(fixed))
+            e_mode = tuple(e_mode)
+        vars(self).update(n_bits=n_bits, samples=samples, e_mode=e_mode, seed=seed)
 
     @property
     def e_mode_label(self) -> str:
@@ -105,7 +105,7 @@ def generate_workload(spec: WorkloadSpec) -> list:
     return pairs
 
 
-@dataclass(frozen=True)
+@_record
 class BenchRow:
     algorithm: str
     n_bits: int
@@ -124,7 +124,7 @@ class BenchRow:
     failures: int
 
 
-@dataclass(frozen=True)
+@_record
 class BenchReport:
     rows: tuple
 
@@ -132,7 +132,7 @@ class BenchReport:
 def run_benchmark(
     pairs: Sequence[ModPair],
     algs: Sequence[AlgorithmId],
-    spec: Optional[WorkloadSpec] = None,
+    spec: WorkloadSpec | None = None,
     repetitions: int = 5,
 ) -> BenchReport:
     """Measure each algorithm over the pairs; every result is verified.
@@ -196,7 +196,7 @@ def run_benchmark(
     return BenchReport(rows=tuple(rows))
 
 
-CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
+CSV_HEADER = ",".join(BenchRow.__match_args__)
 
 
 def emit_report(r: BenchReport, format: str = "csv") -> str:
@@ -206,9 +206,9 @@ def emit_report(r: BenchReport, format: str = "csv") -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
-        writer.writerows(astuple(row) for row in r.rows)
+        writer.writerows(vars(row).values() for row in r.rows)
         return buf.getvalue()
     if format == "json":
-        rows = [{**asdict(row), "max_iters": str(row.max_iters)} for row in r.rows]
+        rows = [{**vars(row), "max_iters": str(row.max_iters)} for row in r.rows]
         return json.dumps({"rows": rows})
     raise DomainError(f"unknown report format: {format!r}")

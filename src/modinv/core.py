@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, fields
 
 
 class DomainError(ValueError):
@@ -75,30 +74,55 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
+def _frozen(self, name, *value):  # a record's __setattr__ and __delattr__
+    from dataclasses import FrozenInstanceError  # only on this error path
+
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+# A record's __dataclass_fields__, until its first read, is the namespace of a
+# throwaway dataclass: the record's annotations and field defaults. The first
+# read imports dataclasses and keeps that dataclass's fields on the record, so
+# dataclasses.fields, astuple, asdict, replace and is_dataclass work on it.
+class _Fields(dict):
+    def __get__(self, obj, cls):
+        from dataclasses import dataclass
+
+        cls.__dataclass_fields__ = dataclass(type(cls.__name__, (), self)).__dataclass_fields__
+        return cls.__dataclass_fields__
+
+
+# dataclasses imports inspect: about 8 ms of a command's start-up. A frozen
+# dataclass's __init__ sends each field through object.__setattr__, which costs
+# more than the log-time loops at small n.
 def _record(cls):
-    """cls as a frozen dataclass whose __init__ stores each field straight into
-    the instance __dict__. The generated frozen __init__ sends each one through
-    object.__setattr__, which costs more than the log-time loops at small n."""
-    cls = dataclass(frozen=True, init=False)(cls)
-    flds = fields(cls)
-    # no field declared in a class body is named __self or __dict: the
-    # compiler mangles such a name to _Class__self
-    src = f"def __init__(__self, {', '.join(f.name for f in flds)}):\n"
-    src += "    __dict = __self.__dict__\n"
-    src += "".join(f"    __dict[{f.name!r}] = {f.name}\n" for f in flds)
-    namespace = {"__name__": cls.__module__}
-    exec(src, namespace)
-    init = namespace["__init__"]
-    init.__defaults__ = tuple(f.default for f in flds if f.default is not MISSING)
-    init.__annotations__ = {**{f.name: f.type for f in flds}, "return": None}
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
+    """cls as @dataclass(frozen=True) makes it, without importing dataclasses.
+    Unless cls has its own, __init__ stores each field straight into the
+    instance __dict__, one store per field."""
+    names = cls.__match_args__ = tuple(cls.__annotations__)
+    defaults = {n: getattr(cls, n) for n in names if hasattr(cls, n)}
+    if "__init__" not in vars(cls):
+        # no field declared in a class body is named __self or __dict: the
+        # compiler mangles such a name to _Class__self
+        src = f"def __init__(__self, {', '.join(names)}):\n    __dict = __self.__dict__\n"
+        src += "".join(f"    __dict[{n!r}] = {n}\n" for n in names)
+        exec(src, ns := {"__name__": cls.__module__})
+        cls.__init__ = ns["__init__"]
+        cls.__init__.__defaults__ = tuple(defaults.values())
+        cls.__init__.__annotations__ = {**cls.__annotations__, "return": None}
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    key = lambda r: tuple([getattr(r, n) for n in names])
+    cls.__repr__ = lambda r: f"{cls.__qualname__}({', '.join(map('{}={!r}'.format, names, key(r)))})"
+    cls.__eq__ = lambda r, other: key(r) == key(other) if type(other) is cls else NotImplemented
+    cls.__hash__ = lambda r: hash(key(r))
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__dataclass_fields__ = _Fields(defaults, __annotations__=cls.__annotations__)
     return cls
 
 
 # ModPair validates before it stores, so it keeps its own __init__, which
 # writes into __dict__ as _record's does
-@dataclass(frozen=True, init=False)
+@_record
 class ModPair:
     """A validated problem instance: find the inverse of e modulo n.
 
@@ -135,8 +159,10 @@ class OpCounts:
     shifts: int = 0
     comparisons: int = 0
 
-    def __add__(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(*[getattr(self, f.name) + getattr(other, f.name) for f in fields(self)])
+    def __add__(self, other: OpCounts) -> OpCounts:
+        if not isinstance(other, OpCounts):
+            return NotImplemented
+        return OpCounts(*[getattr(self, n) + getattr(other, n) for n in self.__match_args__])
 
 
 class _Tallies:
@@ -145,7 +171,7 @@ class _Tallies:
     keeps it, so a caller that never reads them never pays for the object."""
 
     def __get__(self, obj, cls=None):
-        if obj is None:  # so dataclass finds no default for the field
+        if obj is None:  # so _record finds no default for the field
             raise AttributeError("ops")
         ops = obj.__dict__["ops"]
         if type(ops) is tuple:

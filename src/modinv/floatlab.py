@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from dataclasses import asdict, dataclass
-from typing import Optional
 
 from .core import (
     DomainError,
@@ -43,7 +41,7 @@ VERDICTS = (
 class FloatInverseFailure(RuntimeError):
     """The float scan did not produce a confirmed inverse."""
 
-    def __init__(self, message: str, i: Optional[int] = None):
+    def __init__(self, message: str, i: int | None = None):
         super().__init__(message)
         self.i = i
 
@@ -177,7 +175,7 @@ def _float_hit(e: int, a: int, b: int, epsilon: float, i_exact: int):
     return None
 
 
-def _float_d(e: int, n: int, r: float) -> Optional[int]:
+def _float_d(e: int, n: int, r: float) -> int | None:
     """Close the float scan at its hit r: d = (n*(round(r)+1) + 1)/e reduced
     mod n, or None when e does not divide the numerator (a wrong answer).
     Raises InternalConsistencyError if the d it returns is not the inverse."""
@@ -224,7 +222,7 @@ def ffim_float_inverse(p: ModPair, epsilon: float) -> InverseOutcome:
     return InverseOutcome(d, (e * d - 1) // n, i, (i, i, 0, i, 0, i))
 
 
-@dataclass(frozen=True)
+@_record
 class UlpGap:
     """Exact rational gaps between 1/e, n/e and their binary64 roundings."""
 
@@ -250,8 +248,8 @@ class FloatProbeResult:
     n: int
     epsilon: float
     k_exact: int
-    i_float: Optional[int]
-    d_float: Optional[int]
+    i_float: int | None
+    d_float: int | None
     r_error: float
     verdict: str
 
@@ -297,7 +295,7 @@ def probe(p: ModPair, epsilon: float) -> FloatProbeResult:
 MAX_WITNESSES = 1000
 
 
-@dataclass(frozen=True)
+@_record
 class FailureReport:
     """Aggregated probe results over a seeded sample of pairs."""
 
@@ -376,4 +374,4 @@ def scan_failures(
 def failure_report_to_json(r: FailureReport) -> str:
     import json  # here, so scan-float without --out runs without it
 
-    return json.dumps(asdict(r))
+    return json.dumps(vars(r))

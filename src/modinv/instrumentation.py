@@ -8,7 +8,6 @@ replayed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import core
 from .core import (
@@ -19,13 +18,14 @@ from .core import (
     InverseOutcome,
     ModPair,
     TraceTooLongError,
+    _record,
 )
 
 # The algorithms' functions keyed by id: a view of core's table.
 ALGORITHM_FUNCS = {alg: alg.func for alg in AlgorithmId}
 
 
-@dataclass(frozen=True)
+@_record
 class StepTrace:
     algorithm: AlgorithmId  # its headers lay out the rows
     rows: tuple

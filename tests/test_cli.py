@@ -576,6 +576,45 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
 
 
+# Runs under `python -S`, since a site .pth file may import typing before any
+# command: runs each command of argv[1] and checks, after each, that none of
+# dataclasses, inspect and typing has been loaded.
+LEAN_CHILD = """
+import json, sys
+from modinv.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded = {"dataclasses", "inspect", "typing"} & set(sys.modules)
+    assert not loaded, (argv, sorted(loaded))
+"""
+
+
+def test_commands_skip_dataclasses_inspect_and_typing(tmp_path):
+    # the records answer dataclasses' introspection, but no command asks
+    commands = [
+        ["inverse", "--e", "7", "--n", "60"],
+        ["validate", "--n-max", "16"],
+        ["keygen-demo", "--p", "5", "--q", "11", "--e", "7"],
+        ["trace", "--e", "7", "--n", "60", "--alg", "stein", "--format", "table"],
+        ["trace", "--e", "7", "--n", "60", "--alg", "ffim_exact", "--format", "json"],
+        ["bench", "--bits", "10", "--samples", "5", "--seed", "7", "--reps", "1",
+         "--out", str(tmp_path / "r.csv")],
+        ["bench", "--bits", "10", "--samples", "5", "--seed", "7", "--reps", "1",
+         "--format", "json", "--out", str(tmp_path / "r.json")],
+        ["scan-float", "--e-min", "3", "--e-max", "20", "--samples-per-e", "1",
+         "--n-bits", "24", "--epsilon", "1e-9"],
+        ["scan-float", "--e-min", "3", "--e-max", "20", "--samples-per-e", "1",
+         "--n-bits", "24", "--epsilon", "1e-9", "--out", str(tmp_path / "scan.json")],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LEAN_CHILD, json.dumps(commands)],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "r.json").read_text())["rows"]
+    assert json.loads((tmp_path / "scan.json").read_text())["pairs"] == 18
+
+
 def test_scan_float_skips_fractions():
     # only ulp_gap needs Fraction, and scan-float never calls it
     argv = ["scan-float", "--e-min", "3", "--e-max", "20", "--samples-per-e", "1",

@@ -27,7 +27,7 @@ from modinv import (
     verify_inverse,
     witness_k,
 )
-from modinv import benchmark, core, floatlab
+from modinv import benchmark, core, floatlab, instrumentation
 from modinv.core import SEQUENTIAL_BUDGET, _outcome
 
 
@@ -422,15 +422,36 @@ EXAMPLE_REPR = (
 )
 
 
+def _bench_row(mean_ns):
+    return benchmark.BenchRow(
+        "euclid", 8, "fixed:3", 2, 4.0, 4.0, 5, 4.0, 8.0, 0.0, 8.0, 0.0, 5.0, mean_ns, 0
+    )
+
+
 def _example_values():
-    """Two equal but separately built instances of each result type. The
-    last outcome's ops is never read before the test gets it; its twin is
-    built directly with an OpCounts."""
+    """Two equal but separately built instances of each hashable record (a
+    FailureReport holds a dict). The fourth outcome's ops is never read
+    before the test gets it; its twin is built directly with an OpCounts."""
     return [
         (ModPair(7, 60), ModPair(67, 60)),
         (OpCounts(1, 2, 3, 4, 5, 6), OpCounts(1, 2, 3, 4, 5, 6)),
         (euclid_inverse(ModPair(7, 60)), euclid_inverse(ModPair(67, 60))),
         (stein_inverse(ModPair(7, 60)), InverseOutcome(43, 5, 4, OpCounts(8, 22, 0, 0, 21, 30))),
+        (
+            traced_inverse(AlgorithmId.EUCLID, ModPair(7, 60))[1],
+            traced_inverse(AlgorithmId.EUCLID, ModPair(67, 60))[1],
+        ),
+        (floatlab.ulp_gap(ModPair(7, 60)), floatlab.ulp_gap(ModPair(67, 60))),
+        (
+            floatlab.probe(ModPair(7, 60), 1e-9),
+            floatlab.FloatProbeResult(7, 60, 1e-9, 5, 3, 43, 0.0, "agree"),
+        ),
+        (
+            benchmark.WorkloadSpec(16, 4, [3, 5], 1),
+            benchmark.WorkloadSpec(n_bits=16, samples=4, e_mode=(3, 5), seed=1),
+        ),
+        (_bench_row(812.5), _bench_row(812.5)),
+        (benchmark.BenchReport((_bench_row(1.5),)), benchmark.BenchReport((_bench_row(1.5),))),
     ]
 
 
@@ -498,6 +519,12 @@ class TestResultTypes:
         total = OpCounts(1, 2, 3, 4, 5, 6) + OpCounts(comparisons=10)
         assert total == OpCounts(1, 2, 3, 4, 5, 16)
 
+    @pytest.mark.parametrize("other", [1, (0,) * 6, InverseOutcome(43, 5, 4, OpCounts())])
+    def test_opcounts_add_refuses_other_types(self, other):
+        # __add__ returns NotImplemented, so Python raises its own TypeError
+        with pytest.raises(TypeError, match="unsupported operand"):
+            OpCounts() + other
+
     def test_modpair_errors_unchanged(self):
         with pytest.raises(DomainError, match="modulus must be >= 2, got 1"):
             ModPair(1, 1)
@@ -513,8 +540,33 @@ def _dataclass_twin(cls):
     return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
 
 
+RECORDS = [
+    ModPair,
+    OpCounts,
+    InverseOutcome,
+    instrumentation.StepTrace,
+    floatlab.UlpGap,
+    floatlab.FloatProbeResult,
+    floatlab.FailureReport,
+    benchmark.WorkloadSpec,
+    benchmark.BenchRow,
+    benchmark.BenchReport,
+]
+
+
 @pytest.mark.parametrize(
-    "cls", [OpCounts, InverseOutcome, floatlab.FloatProbeResult], ids=lambda c: c.__name__
+    "cls",
+    [
+        OpCounts,
+        InverseOutcome,
+        floatlab.FloatProbeResult,
+        instrumentation.StepTrace,
+        floatlab.UlpGap,
+        floatlab.FailureReport,
+        benchmark.BenchRow,
+        benchmark.BenchReport,
+    ],
+    ids=lambda c: c.__name__,
 )
 def test_record_init_matches_dataclass(cls):
     twin = _dataclass_twin(cls)
@@ -534,6 +586,28 @@ def test_record_init_matches_dataclass(cls):
                 call(c)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+
+def _one_of_each_record():
+    values = {type(a): a for a, _ in _example_values()}
+    values[floatlab.FailureReport] = floatlab.scan_failures(3, 8, 1, 16, 1e-3, 1)
+    return values
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_record_matches_frozen_dataclass(cls):
+    value = _one_of_each_record()[cls]
+    assert type(value) is cls
+    twin = _dataclass_twin(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    twin_value = twin(**{name: getattr(value, name) for name in names})
+    assert cls.__match_args__ == twin.__match_args__
+    assert repr(value) == repr(twin_value)
+    assert dataclasses.asdict(value) == dataclasses.asdict(twin_value)
+    assert dataclasses.astuple(value) == dataclasses.astuple(twin_value)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
 
 
 class TestLazyTallies:
