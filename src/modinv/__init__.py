@@ -27,7 +27,6 @@ _SUBMODULE = {
     "euclid_inverse": "core",
     "ffim_exact_inverse": "core",
     "ffim_float_inverse": "floatlab",
-    "gcd": "core",
     "generate_workload": "benchmark",
     "gordon_inverse": "core",
     "knuth_expected_divisions": "instrumentation",

@@ -29,14 +29,6 @@ from .core import (
 )
 
 
-class GenerationError(DomainError):
-    """Workload generation could not find a coprime companion."""
-
-
-class BenchmarkError(InternalConsistencyError):
-    """A measured result failed verification."""
-
-
 RANDOM_COPRIME = "random_coprime"
 
 # Small public exponents conventionally favoured for public keys.
@@ -99,7 +91,7 @@ def generate_workload(spec: WorkloadSpec) -> list:
                     pairs.append(ModPair(e, n))
                     break
         else:
-            raise GenerationError(
+            raise DomainError(
                 f"no coprime modulus found for sample {j} of {spec.e_mode_label}"
             )
     return pairs
@@ -167,7 +159,7 @@ def run_benchmark(
                 outcome = func(p)
                 samples_ns.append(time.perf_counter_ns() - t0)
             if not verify_inverse(p, outcome.d):
-                raise BenchmarkError(
+                raise InternalConsistencyError(
                     f"{alg} returned a non-inverse for (e={p.e}, n={p.n})"
                 )
             iters.append(outcome.iterations)

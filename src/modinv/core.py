@@ -65,15 +65,6 @@ class TraceTooLongError(DomainError):
         return f"trace of {alg} would exceed {limit} rows; run untraced instead"
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers."""
-    if a == 0 and b == 0:
-        raise DomainError("gcd(0, 0) is undefined")
-    if a < 0 or b < 0:
-        raise DomainError("gcd arguments must be nonnegative")
-    return math.gcd(a, b)
-
-
 def _frozen(self, name, *value):  # a record's __setattr__ and __delattr__
     from dataclasses import FrozenInstanceError  # only on this error path
 

@@ -11,8 +11,7 @@ import math
 
 from . import core
 from .core import (
-    EXACT_ALGORITHMS,  # re-exported
-    MAX_TRACE_ROWS,  # re-exported; traced_inverse reads core's binding
+    EXACT_ALGORITHMS,  # re-exported: tests/test_golden.py imports it from here
     AlgorithmId,
     DomainError,
     InverseOutcome,
@@ -21,7 +20,8 @@ from .core import (
     _record,
 )
 
-# The algorithms' functions keyed by id: a view of core's table.
+# The algorithms' functions keyed by id, a view of core's table; kept because
+# tests/test_golden.py imports it from here.
 ALGORITHM_FUNCS = {alg: alg.func for alg in AlgorithmId}
 
 

@@ -55,15 +55,32 @@ class TestInverse:
         assert out.strip() == "stein: d=43 k=5 iterations=4"
 
     def test_sequential_budget_refused(self):
-        # --alg all starts with sequential, whose d here is near 2^128: it
-        # refuses after SEQUENTIAL_BUDGET candidates instead of running on
+        # sequential's d here is near 2^128: it refuses after
+        # SEQUENTIAL_BUDGET candidates instead of running on
         proc = subprocess.run(
             [sys.executable, "-m", "modinv.cli", "inverse", "--e", "65537",
-             "--n", "0xfffffffffffffffffffffffffffffff1"],
+             "--n", "0xfffffffffffffffffffffffffffffff1", "--alg", "sequential"],
             env=child_env(), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 2
         assert "SEQUENTIAL_BUDGET = 16777216" in proc.stderr
+
+    def test_default_leaves_out_refused_sequential(self, capsys):
+        # the paper's regime, a small e and a large n: --alg all says why
+        # sequential is missing and runs the other five
+        n = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF1
+        code, out, err = run(capsys, "inverse", "--e", "65537", "--n", hex(n))
+        assert code == 0
+        assert err == (
+            "note: sequential left out: sequential scan passed "
+            "SEQUENTIAL_BUDGET = 16777216 steps\n"
+        )
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "euclid", "stein", "gordon", "baghdad", "ffim_exact"
+        ]
+        d = pow(65537, -1, n)
+        assert all(f"d={d} " in line for line in lines)
 
     def test_disagreement_reported(self, capsys, monkeypatch):
         monkeypatch.setattr(AlgorithmId.GORDON, "func", TestValidate.wrong_gordon)

@@ -19,7 +19,6 @@ from modinv import (
     baghdad_inverse,
     euclid_inverse,
     ffim_exact_inverse,
-    gcd,
     gordon_inverse,
     sequential_inverse,
     stein_inverse,
@@ -60,26 +59,6 @@ def brute_force_inverse(e, n):
         if (e * d) % n == 1:
             return d
     raise AssertionError(f"no inverse of {e} mod {n}")
-
-
-class TestGcd:
-    def test_worked_example_operands(self):
-        assert gcd(7, 60) == 1
-
-    def test_zero_identity(self):
-        assert gcd(0, 5) == 5
-
-    def test_common_factor(self):
-        # brute force over all divisors <= 12 gives 6
-        assert gcd(12, 18) == 6
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(DomainError):
-            gcd(0, 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            gcd(-4, 6)
 
 
 class TestMakePair:
@@ -714,11 +693,9 @@ class TestPublicApi:
     def test_errors_mapped_by_base_class(self):
         # the CLI maps core's classes only: a refusal is a DomainError (exit
         # 2), a failed verification an InternalConsistencyError (exit 1)
-        from modinv import benchmark, core, instrumentation
+        from modinv import core, instrumentation
 
         assert issubclass(core.TraceTooLongError, core.DomainError)
-        assert issubclass(benchmark.GenerationError, core.DomainError)
-        assert issubclass(benchmark.BenchmarkError, core.InternalConsistencyError)
         assert instrumentation.TraceTooLongError is core.TraceTooLongError
 
 
@@ -760,11 +737,6 @@ RAISERS = {
     "WrongAnswer": lambda monkeypatch: floatlab.ffim_float_inverse(
         ModPair(4421, 1293272975), 1e-3
     ),
-    # no 2-bit modulus lies above e = 4
-    "GenerationError": lambda monkeypatch: benchmark.generate_workload(
-        benchmark.WorkloadSpec(n_bits=2, samples=1, e_mode=(4,), seed=0)
-    ),
-    "BenchmarkError": _benchmark_error,
 }
 
 
@@ -780,6 +752,13 @@ def test_raisers_cover_every_exception_class():
     assert defined == set(RAISERS)
 
 
+def _generation_refusal(monkeypatch):
+    # no 2-bit modulus lies above e = 4
+    benchmark.generate_workload(
+        benchmark.WorkloadSpec(n_bits=2, samples=1, e_mode=(4,), seed=0)
+    )
+
+
 def _patched_budget_refusal(monkeypatch):
     monkeypatch.setattr(core, "SEQUENTIAL_BUDGET", 10)
     sequential_inverse(ModPair(3, 10**6 + 3))
@@ -791,7 +770,11 @@ def _patched_budget_refusal(monkeypatch):
     + [
         pytest.param(
             "ScanBudgetError", _patched_budget_refusal, id="ScanBudgetError-patched"
-        )
+        ),
+        pytest.param("DomainError", _generation_refusal, id="DomainError-generation"),
+        pytest.param(
+            "InternalConsistencyError", _benchmark_error, id="InternalConsistencyError-bench"
+        ),
     ],
 )
 def test_exception_pickle_round_trip(name, raiser, monkeypatch):

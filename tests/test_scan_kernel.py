@@ -17,6 +17,7 @@ import pytest
 
 from modinv import ModPair, baghdad_inverse, core, ffim_exact_inverse, sequential_inverse
 from modinv.core import (
+    MAX_TRACE_ROWS,
     SCAN_PREFIX,
     SEQUENTIAL_BUDGET,
     DomainError,
@@ -29,7 +30,6 @@ from modinv.core import (
     _scan_closed,
     run_exhaustive_validation,
 )
-from modinv.instrumentation import MAX_TRACE_ROWS
 
 
 # ----------------------------------------------------------------------------
