@@ -7,12 +7,9 @@ workload seed, wall time is not.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 import random
-import statistics
 import time
 from collections.abc import Sequence
 
@@ -121,6 +118,12 @@ class BenchReport:
     rows: tuple
 
 
+# statistics.median's value, without the statistics module's import cost
+def _median(values: list):
+    s, mid = sorted(values), len(values) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
+
+
 def run_benchmark(
     pairs: Sequence[ModPair],
     algs: Sequence[AlgorithmId],
@@ -164,7 +167,7 @@ def run_benchmark(
                 )
             iters.append(outcome.iterations)
             ops_total = ops_total + outcome.ops
-            times.append(statistics.median(samples_ns))
+            times.append(_median(samples_ns))
         count = len(pairs)
         rows.append(
             BenchRow(
@@ -173,7 +176,7 @@ def run_benchmark(
                 e_mode=e_mode,
                 samples=count,
                 mean_iters=sum(iters) / count,
-                median_iters=float(statistics.median(iters)),
+                median_iters=float(_median(iters)),
                 max_iters=max(iters),
                 mean_divs=ops_total.divisions / count,
                 mean_mults=ops_total.multiplications / count,
@@ -195,12 +198,16 @@ def emit_report(r: BenchReport, format: str = "csv") -> str:
     """Serialize a report, one column per BenchRow field in declaration
     order; JSON writes the big integer max_iters as a decimal string."""
     if format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         writer.writerows(vars(row).values() for row in r.rows)
         return buf.getvalue()
     if format == "json":
+        import json
+
         rows = [{**vars(row), "max_iters": str(row.max_iters)} for row in r.rows]
         return json.dumps({"rows": rows})
     raise DomainError(f"unknown report format: {format!r}")

@@ -7,8 +7,8 @@ error, a refusal (any DomainError) or a number past Python's digit limit.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 
@@ -38,6 +38,10 @@ def _digit_limit(err: ValueError) -> str | None:
     return None
 
 
+class UsageError(ValueError):
+    """A malformed command line: the parser prints it and exits 2."""
+
+
 def parse_int(text: str) -> int:
     """Integer argument, decimal or 0x-prefixed hex, after one optional sign."""
     try:
@@ -45,7 +49,7 @@ def parse_int(text: str) -> int:
             return int(text, 16)
         return int(text, 10)
     except ValueError as err:
-        raise argparse.ArgumentTypeError(_digit_limit(err) or f"not an integer: {text!r}")
+        raise UsageError(_digit_limit(err) or f"not an integer: {text!r}")
 
 
 def _algorithm(name: str) -> AlgorithmId:
@@ -53,22 +57,13 @@ def _algorithm(name: str) -> AlgorithmId:
     try:
         return AlgorithmId(name)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an exact algorithm: {name!r}") from None
-
-
-def _algorithms(text: str) -> tuple:
-    """Comma-separated exact algorithm names."""
-    return tuple(_algorithm(name) for name in text.split(","))
-
-
-def _e_list(text: str) -> tuple:
-    return tuple(parse_int(part) for part in text.split(","))
+        raise UsageError(f"not an exact algorithm: {name!r}") from None
 
 
 def _cmd_inverse(args) -> int:
     p = ModPair(args.e, args.n)
-    algs = args.alg
-    if algs is EXACT_ALGORITHMS and _sequential_refused(p):
+    algs = EXACT_ALGORITHMS if args.alg == "all" else (args.alg,)
+    if args.alg == "all" and _sequential_refused(p):
         # --alg all: the sequential oracle runs past its budget only when named
         print(f"note: sequential left out: {ScanBudgetError()}", file=sys.stderr)
         algs = tuple(a for a in algs if a is not AlgorithmId.SEQUENTIAL)
@@ -156,88 +151,127 @@ def _cmd_keygen_demo(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="modinv",
-        description="Modular multiplicative inverse algorithms, traces, "
-        "benchmarks, and float round-off scans.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's handler, help text and options. Each option maps its flag to
+# (converter, default[, choices]), and a default of ... marks it required. A
+# converter refuses a value with a ValueError, and the value it returns must
+# be one of the choices.
+_INT = (parse_int, ...)
+_COMMANDS = {
+    "inverse": (_cmd_inverse, "compute an inverse", {"--e": _INT, "--n": _INT, "--alg": (
+        lambda s: s if s == "all" else _algorithm(s), "all", (*EXACT_ALGORITHMS, "all"))}),
+    "trace": (_cmd_trace, "render a per-iteration trace", {
+        "--e": _INT, "--n": _INT, "--alg": (_algorithm, ..., EXACT_ALGORITHMS),
+        "--format": (str, "table", ("table", "json"))}),
+    "validate": (_cmd_validate, "check all algorithms against the oracle", {"--n-max": _INT}),
+    "bench": (_cmd_bench, "run a seeded benchmark workload (--e-fixed, --algs: a,b,...)", {
+        "--bits": _INT, "--samples": _INT, "--seed": (parse_int, 0),
+        "--e-fixed": (lambda s: tuple(map(parse_int, s.split(","))), None),
+        # all but sequential: the oracle refuses pairs past SEQUENTIAL_BUDGET, so
+        # it runs only when named
+        "--algs": (lambda s: tuple(map(_algorithm, s.split(","))),
+                   tuple(a for a in EXACT_ALGORITHMS if a is not AlgorithmId.SEQUENTIAL)),
+        "--reps": (parse_int, 5), "--format": (str, "csv", ("csv", "json")), "--out": (str, ...)}),
+    "scan-float": (_cmd_scan_float, "scan the float scan for disagreement regions", {
+        "--e-min": (parse_int, 3), "--e-max": (parse_int, 5000),
+        "--samples-per-e": (parse_int, 2), "--n-bits": (parse_int, 48),
+        "--epsilon": (float, ...), "--seed": (parse_int, 0), "--out": (str, None)}),
+    "keygen-demo": (_cmd_keygen_demo, "toy RSA key generation",
+                    {"--p": _INT, "--q": _INT, "--e": _INT}),
+}
 
-    exact_names = [a.value for a in EXACT_ALGORITHMS]
 
-    p_inv = sub.add_parser("inverse", help="compute an inverse")
-    p_inv.add_argument("--e", type=parse_int, required=True)
-    p_inv.add_argument("--n", type=parse_int, required=True)
-    p_inv.add_argument(
-        "--alg",
-        default="all",
-        type=lambda s: EXACT_ALGORITHMS if s == "all" else (_algorithm(s),),
-        metavar="{" + ",".join(exact_names + ["all"]) + "}",
-    )
-    p_inv.set_defaults(func=_cmd_inverse)
+# How argparse reads a token: (flag, None or the text after "=") for a flag or
+# its unique prefix, (None, token) for a value, else (None, None).
+def _option(token: str, flags) -> tuple:
+    prefix, eq, text = token.partition("=")
+    if token.startswith("--") and token != "--":
+        matches = [prefix] if prefix in flags else [f for f in flags if f.startswith(prefix)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], text if eq else None
+    if token[:2] in flags and token[1:2] != "-":  # -h, -h=text or -htext
+        return token[:2], token[3:] if token[2:3] == "=" else token[2:] or None
+    # "-" alone, a negative number (-7, -.5, -7.5) and a token with a blank are values
+    number = token[1:].replace(".", "", 1).isdecimal() and token[-1] != "."
+    return None, token if token[:1] != "-" or token == "-" or number or " " in token else None
 
-    p_tr = sub.add_parser("trace", help="render a per-iteration trace")
-    p_tr.add_argument("--e", type=parse_int, required=True)
-    p_tr.add_argument("--n", type=parse_int, required=True)
-    p_tr.add_argument(
-        "--alg",
-        required=True,
-        type=_algorithm,
-        metavar="{" + ",".join(exact_names) + "}",
-    )
-    p_tr.add_argument("--format", choices=("table", "json"), default="table")
-    p_tr.set_defaults(func=_cmd_trace)
 
-    p_val = sub.add_parser(
-        "validate", help="exhaustively check all algorithms against the oracle"
-    )
-    p_val.add_argument("--n-max", type=parse_int, required=True)
-    p_val.set_defaults(func=_cmd_validate)
+# argparse reads every token before it takes any, so an ambiguous flag
+# anywhere is the first error; each token after "--" is a value.
+def _read(argv: list, flags) -> list:
+    end = argv.index("--") if "--" in argv else len(argv)
+    return [(t, *(_option(t, flags) if i <= end else (None, t))) for i, t in enumerate(argv)]
 
-    p_bench = sub.add_parser("bench", help="run a seeded benchmark workload")
-    p_bench.add_argument("--bits", type=parse_int, required=True)
-    p_bench.add_argument("--samples", type=parse_int, required=True)
-    p_bench.add_argument("--seed", type=parse_int, default=0)
-    p_bench.add_argument(
-        "--e-fixed",
-        type=_e_list,
-        default=None,
-        help="comma-separated fixed exponents, e.g. 3,5,17,257,65537",
-    )
-    p_bench.add_argument(
-        "--algs",
-        # the sequential oracle refuses pairs past SEQUENTIAL_BUDGET, so it
-        # runs only when named
-        default=",".join(name for name in exact_names if name != "sequential"),
-        type=_algorithms,
-        help="comma-separated exact algorithm names (default: all but sequential)",
-    )
-    p_bench.add_argument("--reps", type=parse_int, default=5)
-    p_bench.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_bench.add_argument("--out", required=True)
-    p_bench.set_defaults(func=_cmd_bench)
 
-    p_scan = sub.add_parser(
-        "scan-float", help="scan the float scan for disagreement regions"
-    )
-    p_scan.add_argument("--e-min", type=parse_int, default=3)
-    p_scan.add_argument("--e-max", type=parse_int, default=5000)
-    p_scan.add_argument("--samples-per-e", type=parse_int, default=2)
-    p_scan.add_argument("--n-bits", type=parse_int, default=48)
-    p_scan.add_argument("--epsilon", type=float, required=True)
-    p_scan.add_argument("--seed", type=parse_int, default=0)
-    p_scan.add_argument("--out", default=None)
-    p_scan.set_defaults(func=_cmd_scan_float)
+def _usage(command=None) -> str:
+    if command is None:
+        return "usage: modinv [-h] [--version] {" + ",".join(_COMMANDS) + "} ..."
+    words = ["usage: modinv", command, "[-h]"]
+    for flag, (_, default, *choices) in _COMMANDS[command][2].items():
+        meta = "{" + ",".join(map(str, *choices)) + "}" if choices else flag[2:].upper()
+        words.append(f"{flag} {meta}" if default is ... else f"[{flag} {meta}]")
+    return " ".join(words)
 
-    p_key = sub.add_parser("keygen-demo", help="toy RSA key generation")
-    p_key.add_argument("--p", type=parse_int, required=True)
-    p_key.add_argument("--q", type=parse_int, required=True)
-    p_key.add_argument("--e", type=parse_int, required=True)
-    p_key.set_defaults(func=_cmd_keygen_demo)
 
-    return parser
+# One loop reads the program's flags up to the command, then the command's
+# flags: argparse's program parser hands every token after the command on.
+def _parse_args(argv=None) -> SimpleNamespace:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command, options, values, extras = None, {}, {}, []  # extras: unknown flags, stray values
+    try:
+        tokens = iter(_read(argv, ("-h", "--help", "--version")))
+        while item := next(tokens, None):
+            token, flag, text = item
+            if flag in ("-h", "--help", "--version"):
+                if flag == "-h" and text:  # argparse reads -hh as -h -h
+                    text = text.lstrip("h") or None
+                if text is not None:
+                    name = flag if flag == "--version" else "-h/--help"
+                    raise UsageError(f"argument {name}: ignored explicit argument {text!r}")
+                lines = [_usage(command), "", _COMMANDS[command][1]] if command else [
+                    _usage(), *(f"{_usage(c)}\n    {_COMMANDS[c][1]}" for c in _COMMANDS)]
+                print(__version__ if flag == "--version" else "\n".join(lines))
+                raise SystemExit(0)
+            elif flag:
+                if text is None:
+                    _, after, text = next(tokens, (None, None, None))
+                    if after is not None or text is None:  # not a value
+                        raise UsageError(f"argument {flag}: expected one argument")
+                convert, _, *choices = options[flag]
+                try:
+                    values[flag] = convert(text)
+                except ValueError as err:  # float's own, in argparse's words
+                    why = err if isinstance(err, UsageError) else f"invalid float value: {text!r}"
+                    raise UsageError(f"argument {flag}: {why}") from None
+                if choices and values[flag] not in choices[0]:
+                    choose = "choose from " + ", ".join(map(repr, choices[0]))
+                    raise UsageError(f"argument {flag}: invalid choice: {text!r} ({choose})")
+            elif command or text is None and not (token == "--" and argv[len(extras) + 1:]):
+                extras.append(token)
+            else:  # the program's first value (or "--" before one) names the command
+                if token not in _COMMANDS:
+                    choose = "choose from " + ", ".join(map(repr, _COMMANDS))
+                    raise UsageError(f"argument command: invalid choice: {token!r} ({choose})")
+                command, (func, _, options) = token, _COMMANDS[token]
+                values = {flag: spec[1] for flag, spec in options.items()}
+                tokens = iter(_read(argv[len(extras) + 1:], ("-h", "--help", *options)))
+        if missing := [f for f, v in values.items() if v is ...] if command else ["command"]:
+            raise UsageError("the following arguments are required: " + ", ".join(missing))
+        if extras:  # argparse reports leftovers against the whole program
+            command = None
+            raise UsageError("unrecognized arguments: " + " ".join(extras))
+        names = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+        return SimpleNamespace(command=command, func=func, **names)
+    except UsageError as err:
+        prog = "modinv" if command is None else f"modinv {command}"
+        print(f"{_usage(command)}\n{prog}: error: {err}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def build_parser() -> SimpleNamespace:
+    """parse_args(argv=None) reads argv by _COMMANDS as argparse did."""
+    return SimpleNamespace(parse_args=_parse_args)
 
 
 def main(argv=None) -> int:
@@ -251,7 +285,7 @@ def main(argv=None) -> int:
         except (DomainError, OSError, InternalConsistencyError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1 if isinstance(err, InternalConsistencyError) else 2
-    except SystemExit as exc:  # argparse's usage errors, --help and --version
+    except SystemExit as exc:  # usage errors, --help and --version
         return 0 if exc.code in (0, None) else 2
     except ValueError as err:  # str() of a result's or a message's integer
         if (reason := _digit_limit(err)) is None:

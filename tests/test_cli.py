@@ -1,12 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import modinv
 from modinv import core
@@ -467,7 +472,7 @@ class TestHelpers:
     def test_parse_int_signed_hex(self):
         assert parse_int("+0x2a") == 42
         assert parse_int("-0x2a") == -42
-        with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
+        with pytest.raises(modinv.cli.UsageError, match="not an integer"):
             parse_int("+-0x2a")
 
     @pytest.mark.parametrize("text,value", [(" 0x2a", 42), ("0x2a\n", 42), (" -0x2a ", -42)],
@@ -508,6 +513,264 @@ def test_readme_cli_examples_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {' '.join(argv)}")
+
+
+# One past Python's default int/str digit limit of 4300, set by the digit_limit
+# fixture for the row that uses it.
+DIGIT_LIMIT_ARGV = "inverse --e 3 --n " + "7" * 4301
+
+# Recorded from the argparse parser that the option table replaced: argv (as
+# shlex splits it), exit code, stdout with bench's mean_ns masked, and the last
+# line of stderr. Help rows hold None for stdout: the table renders its own.
+PARITY = [
+    ("readme-inverse", "inverse --e 7 --n 60", 0,
+     "sequential: d=43 k=5 iterations=43\n"
+     "euclid: d=43 k=5 iterations=4\n"
+     "stein: d=43 k=5 iterations=4\n"
+     "gordon: d=43 k=5 iterations=5\n"
+     "baghdad: d=43 k=5 iterations=5\n"
+     "ffim_exact: d=43 k=5 iterations=3\n",
+     ""),
+    ("readme-inverse-stein", "inverse --e 7 --n 60 --alg stein", 0,
+     "stein: d=43 k=5 iterations=4\n",
+     ""),
+    ("readme-trace-table", "trace --e 7 --n 60 --alg euclid", 0,
+     " g  u    i    v  q    t\n"
+     "60  7    0    1  0    0\n"
+     " 7  4    1   -8  8   -8\n"
+     " 4  3   -8    9  1    9\n"
+     " 3  1    9  -17  1  -17\n"
+     " 1  0  -17   60  3   60\n"
+     "d = 43  k = 5  iterations = 4\n",
+     ""),
+    ("readme-trace-json", "trace --e 7 --n 60 --alg ffim_exact --format json", 0,
+     '{"algorithm": "ffim_exact", "headers": ["i", "s_f", "d_f", "r"], "rows": [["1", "5/7", '
+     '"4/7", "1/2"], ["2", "5/7", "4/7", "9/4"], ["3", "5/7", "4/7", "4"]], "d": "43", "k": "5", '
+     '"iterations": 3}\n',
+     ""),
+    ("readme-validate", "validate --n-max 512", 0,
+     "checked 79851 coprime pairs up to n = 512: no discrepancies\n",
+     ""),
+    ("readme-bench", "bench --bits 32 --samples 1000 --seed 7 --out report.csv", 0,
+     "euclid: mean_iters=18.87 mean_divs=18.87 mean_ns=N\n"
+     "stein: mean_iters=22.82 mean_divs=0.00 mean_ns=N\n"
+     "gordon: mean_iters=36.67 mean_divs=0.00 mean_ns=N\n"
+     "baghdad: mean_iters=776356063.03 mean_divs=776356063.03 mean_ns=N\n"
+     "ffim_exact: mean_iters=270695730.95 mean_divs=270695730.95 mean_ns=N\n"
+     "report written to report.csv\n",
+     ""),
+    ("readme-bench-fixed",
+     "bench --bits 32 --samples 100 --seed 7 --e-fixed 3,5,17,257,65537 "
+     "--algs baghdad,ffim_exact --out small_e.csv", 0,
+     "baghdad: mean_iters=5039.37 mean_divs=5039.37 mean_ns=N\n"
+     "ffim_exact: mean_iters=2744.29 mean_divs=2744.29 mean_ns=N\n"
+     "report written to small_e.csv\n",
+     ""),
+    ("readme-scan-float", "scan-float --epsilon 1e-9 --out scan.json", 0,
+     "agree: 9996\n"
+     "early_termination: 0\n"
+     "missed_termination: 0\n"
+     "wrong_answer: 0\n"
+     "report written to scan.json\n",
+     ""),
+    ("readme-keygen-demo", "keygen-demo --p 5 --q 11 --e 7", 0,
+     "n=55 e=7 d=23\n",
+     "warning: pedagogical demo only, not secure key generation"),
+    ("equals-form", "inverse --e=7 --n=60 --alg=gordon", 0, "gordon: d=43 k=5 iterations=5\n", ""),
+    ("unique-prefix", "bench --bits 10 --samples 5 --reps 1 --alg euclid --out r.csv", 0,
+     "euclid: mean_iters=6.60 mean_divs=6.60 mean_ns=N\n"
+     "report written to r.csv\n",
+     ""),
+    ("repeated-flag", "inverse --e 5 --n 60 --e 7 --alg euclid", 0,
+     "euclid: d=43 k=5 iterations=4\n",
+     ""),
+    ("negative-value", "inverse --e -7 --n 60 --alg euclid", 0,
+     "euclid: d=17 k=15 iterations=5\n",
+     ""),
+    ("hex-values", "inverse --e 0x7 --n 0x3C --alg baghdad", 0,
+     "baghdad: d=43 k=5 iterations=5\n",
+     ""),
+    ("help", "-h", 0, None, ""),
+    ("command-help", "inverse -h", 0, None, ""),
+    ("version", "--version", 0, "0.1.0\n", ""),
+    ("help-prefix", "--he", 0, None, ""),
+    ("version-prefix", "--vers", 0, "0.1.0\n", ""),
+    ("no-command", "", 2, "", "modinv: error: the following arguments are required: command"),
+    ("required", "inverse --e 7", 2,
+     "",
+     "modinv inverse: error: the following arguments are required: --n"),
+    ("expected-one-at-end", "inverse --n 60 --e", 2,
+     "",
+     "modinv inverse: error: argument --e: expected one argument"),
+    ("expected-one", "inverse --e --n 60", 2,
+     "",
+     "modinv inverse: error: argument --e: expected one argument"),
+    ("unrecognized", "inverse --e 7 --n 60 --bogus 1", 2,
+     "",
+     "modinv: error: unrecognized arguments: --bogus 1"),
+    ("unrecognized-value", "validate --n-max 16 extra", 2,
+     "",
+     "modinv: error: unrecognized arguments: extra"),
+    ("ambiguous", "scan-float --e 5 --epsilon 1e-9", 2,
+     "",
+     "modinv scan-float: error: ambiguous option: --e could match --e-min, --e-max, --epsilon"),
+    ("ambiguous-two", "bench --bits 10 --s 5 --out r.csv", 2,
+     "",
+     "modinv bench: error: ambiguous option: --s could match --samples, --seed"),
+    ("invalid-format", "trace --e 7 --n 60 --alg euclid --format xml", 2,
+     "",
+     "modinv trace: error: argument --format: invalid choice: 'xml' (choose from "
+     "'table', 'json')"),
+    ("invalid-bench-format", "bench --bits 10 --samples 5 --format xml --out r.csv", 2,
+     "",
+     "modinv bench: error: argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    ("invalid-command", "frob", 2,
+     "",
+     "modinv: error: argument command: invalid choice: 'frob' (choose from 'inverse', "
+     "'trace', 'validate', 'bench', 'scan-float', 'keygen-demo')"),
+    ("not-an-integer", "inverse --e x --n 60", 2,
+     "",
+     "modinv inverse: error: argument --e: not an integer: 'x'"),
+    ("empty-equals", "inverse --e= --n 60", 2,
+     "",
+     "modinv inverse: error: argument --e: not an integer: ''"),
+    ("not-an-algorithm", "bench --bits 10 --samples 5 --reps 1 --algs bogus --out r.csv", 2,
+     "",
+     "modinv bench: error: argument --algs: not an exact algorithm: 'bogus'"),
+    ("bad-e-fixed", "bench --bits 10 --samples 5 --e-fixed 3,x --out r.csv", 2,
+     "",
+     "modinv bench: error: argument --e-fixed: not an integer: 'x'"),
+    ("float-algorithm", "inverse --e 7 --n 60 --alg ffim_float", 2,
+     "",
+     "modinv inverse: error: argument --alg: not an exact algorithm: 'ffim_float'"),
+    ("required-epsilon", "scan-float --e-max 40", 2,
+     "",
+     "modinv scan-float: error: the following arguments are required: --epsilon"),
+    ("required-last", "keygen-demo --p 5 --q 11", 2,
+     "",
+     "modinv keygen-demo: error: the following arguments are required: --e"),
+    ("version-after-command", "inverse --e 7 --n 60 --version", 2,
+     "",
+     "modinv: error: unrecognized arguments: --version"),
+    ("error-before-help", "inverse --e x -h", 2,
+     "",
+     "modinv inverse: error: argument --e: not an integer: 'x'"),
+    ("help-before-error", "inverse -h --e x", 0, None, ""),
+    ("digit-limit", DIGIT_LIMIT_ARGV, 2,
+     "",
+     "modinv inverse: error: argument --n: more than 4300 decimal digits (PYTHONINTMAXSTRDIGITS)"),
+    ("double-dash", "inverse --e 7 --n 60 -- 5", 2,
+     "",
+     "modinv: error: unrecognized arguments: -- 5"),
+    ("short-unknown", "inverse --e 7 --n 60 -x", 2,
+     "",
+     "modinv: error: unrecognized arguments: -x"),
+    ("signed-hex-after-flag", "inverse --e -0x7 --n 60", 2,
+     "",
+     "modinv inverse: error: argument --e: expected one argument"),
+    ("signed-hex-equals", "inverse --e=-0x7 --n 60 --alg euclid", 0,
+     "euclid: d=17 k=15 iterations=5\n",
+     ""),
+    ("negative-float", "scan-float --e-max 4 --n-bits 8 --epsilon -.5", 2,
+     "",
+     "error: epsilon must lie in (0, 1/2), got -0.5"),
+    ("not-a-float", "scan-float --epsilon x", 2,
+     "",
+     "modinv scan-float: error: argument --epsilon: invalid float value: 'x'"),
+    ("help-explicit-argument", "inverse --help=5", 2,
+     "",
+     "modinv inverse: error: argument -h/--help: ignored explicit argument '5'"),
+    ("double-short-help", "inverse -hh", 0, None, ""),
+    ("flag-before-command", "-x inverse --e 7 --n 60", 2,
+     "",
+     "modinv: error: unrecognized arguments: -x"),
+    ("version-before-command", "--version inverse", 0, "0.1.0\n", ""),
+    ("flag-after-double-dash", "inverse --e 7 --n 60 -- -h", 2,
+     "",
+     "modinv: error: unrecognized arguments: -- -h"),
+    ("double-dash-command", "-- inverse", 2,
+     "",
+     "modinv: error: argument command: invalid choice: '--' (choose from 'inverse', "
+     "'trace', 'validate', 'bench', 'scan-float', 'keygen-demo')"),
+    ("ambiguous-anywhere", "inverse --e 7 --n 60 --=5", 2,
+     "",
+     "modinv: error: ambiguous option: --=5 could match --help, --version"),
+    ("value-with-blank", "inverse --e '-7 ' --n 60", 0,
+     "sequential: d=17 k=15 iterations=17\n"
+     "euclid: d=17 k=15 iterations=5\n"
+     "stein: d=17 k=15 iterations=6\n"
+     "gordon: d=17 k=15 iterations=10\n"
+     "baghdad: d=17 k=15 iterations=15\n"
+     "ffim_exact: d=17 k=15 iterations=2\n",
+     ""),
+]
+
+
+def test_parity_table_covers_readme_examples():
+    assert {shlex.join(argv[1:]) for argv in readme_cli_examples()} <= {row[1] for row in PARITY}
+
+
+@pytest.mark.parametrize("argv,code,stdout,last_err", [row[1:] for row in PARITY],
+                         ids=[row[0] for row in PARITY])
+def test_parity_with_argparse(capsys, monkeypatch, tmp_path, request, argv, code, stdout,
+                              last_err):
+    monkeypatch.chdir(tmp_path)  # the README examples write their reports here
+    if argv == DIGIT_LIMIT_ARGV:
+        request.getfixturevalue("digit_limit")
+    got, out, err = run(capsys, *shlex.split(argv))
+    assert got == code
+    if stdout is None:
+        assert out.startswith("usage: modinv")
+    else:
+        assert re.sub(r"mean_ns=\d+", "mean_ns=N", out) == stdout
+    assert (err.splitlines() or [""])[-1] == last_err
+
+
+FLAGS = [
+    "--e", "--n", "--alg", "--format", "--n-max", "--bits", "--samples", "--seed", "--e-fixed",
+    "--algs", "--reps", "--out", "--e-min", "--e-max", "--samples-per-e", "--n-bits",
+    "--epsilon", "--p", "--q", "-h", "--help", "--version",
+    # misspelt, prefixed and bare
+    "--bogus", "--algz", "--e-", "--s", "--ep", "--he", "--vers", "--", "-", "-x", "-e",
+]
+VALUES = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.integers(-10**6, 10**6).map(hex),
+    st.sampled_from(["", " ", " 7", "7 ", "+-3", "-0x", "x", "1e-9", "-.5", "nan", "all",
+                     "euclid", "ffim_float", "table", "json", "csv", "3,5", "euclid,stein"]),
+    st.text(max_size=4),
+)
+TOKENS = st.one_of(
+    st.sampled_from(FLAGS),
+    VALUES,
+    st.tuples(st.sampled_from(FLAGS), VALUES).map("=".join),
+)
+COMMANDS = st.sampled_from(
+    ["inverse", "trace", "validate", "bench", "scan-float", "keygen-demo", "frob", "-h"]
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(TOKENS, max_size=8), COMMANDS, st.booleans())
+def test_parser_contract(tokens, command, with_command):
+    # parsing only, no command runs: a namespace, or a clean exit 0 or 2
+    argv = [command, *tokens] if with_command else tokens
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            code = None
+    if code is None:
+        assert (args.command, out.getvalue(), err.getvalue()) == (argv[0], "", "")
+    elif code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert ": error: " in err.getvalue().splitlines()[-1]
 
 
 def test_readme_python_examples_run():
@@ -630,6 +893,51 @@ def test_commands_skip_dataclasses_inspect_and_typing(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "r.json").read_text())["rows"]
     assert json.loads((tmp_path / "scan.json").read_text())["pairs"] == 18
+
+
+# Runs under `python -S`, like LEAN_CHILD: runs each (argv, exit code, module
+# names) entry of the list literal in argv[1] and checks, after each, that none
+# of those modules has been loaded. It reads its list without json, which one
+# of the entries names.
+SLIM_CHILD = """
+import ast, sys
+from modinv.cli import main
+for argv, code, unwanted in ast.literal_eval(sys.argv[1]):
+    assert main(argv) == code, argv
+    loaded = set(unwanted) & set(sys.modules)
+    assert not loaded, (argv, sorted(loaded))
+"""
+
+
+def test_commands_skip_argparse_and_statistics(tmp_path):
+    # the option table parses without argparse, which loads gettext and then
+    # locale; a CSV report needs no statistics (which loads fractions) and no json
+    parser = ["argparse", "gettext", "locale"]
+    bench = ["bench", "--bits", "10", "--samples", "5", "--seed", "7", "--reps", "1"]
+    commands = [
+        # first, since later commands load json, and a ffim_exact trace fractions
+        [bench + ["--format", "csv", "--out", str(tmp_path / "r.csv")], 0,
+         parser + ["statistics", "fractions", "json"]],
+        [bench + ["--format", "json", "--out", str(tmp_path / "r.json")], 0,
+         parser + ["statistics", "fractions"]],
+        [["inverse", "--e", "7", "--n", "60"], 0, parser],
+        [["validate", "--n-max", "16"], 0, parser],
+        [["keygen-demo", "--p", "5", "--q", "11", "--e", "7"], 0, parser],
+        [["trace", "--e", "7", "--n", "60", "--alg", "stein"], 0, parser],
+        [["-h"], 0, parser],
+        [["inverse", "-h"], 0, parser],
+        [["--version"], 0, parser],
+        [["inverse", "--e", "x", "--n", "60"], 2, parser],
+        [["frob"], 2, parser],
+        [["trace", "--e", "7", "--n", "60", "--alg", "ffim_exact", "--format", "json"], 0, parser],
+        [["scan-float", "--e-min", "3", "--e-max", "20", "--samples-per-e", "1",
+          "--n-bits", "24", "--epsilon", "1e-9"], 0, parser],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", SLIM_CHILD, repr(commands)],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_scan_float_skips_fractions():
