@@ -19,9 +19,8 @@ from .core import (
     InternalConsistencyError,
     ModPair,
     OpCounts,
-    ScanBudgetError,
     _record,
-    _sequential_refused,
+    scan_plan,
     verify_inverse,
 )
 
@@ -133,15 +132,16 @@ def run_benchmark(
     """Measure each algorithm over the pairs; every result is verified.
 
     Wall time per (pair, algorithm) is the median of `repetitions` calls.
-    A sequential scan that would pass SEQUENTIAL_BUDGET on any pair is
-    refused before the first timed call.
+    A call that core's scan_plan says would refuse, on any pair, raises its
+    refusal before the first timed call.
     """
     if not pairs or not algs:
         raise DomainError("need at least one pair and one algorithm")
     if repetitions < 1:
         raise DomainError("repetitions must be >= 1")
-    if AlgorithmId.SEQUENTIAL in algs and any(map(_sequential_refused, pairs)):
-        raise ScanBudgetError()
+    for path in (scan_plan(alg.value, p.e, p.n)[0] for alg in algs for p in pairs):
+        if isinstance(path, DomainError):
+            raise path
     if spec is not None:
         n_bits = spec.n_bits
         e_mode = spec.e_mode_label

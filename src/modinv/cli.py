@@ -21,10 +21,9 @@ from .core import (
     InternalConsistencyError,
     ModPair,
     NoInverseError,
-    ScanBudgetError,
-    _sequential_refused,
     rsa_toy_keygen,
     run_exhaustive_validation,
+    scan_plan,
 )
 
 
@@ -62,12 +61,13 @@ def _algorithm(name: str) -> AlgorithmId:
 
 def _cmd_inverse(args) -> int:
     p = ModPair(args.e, args.n)
-    algs = EXACT_ALGORITHMS if args.alg == "all" else (args.alg,)
-    if args.alg == "all" and _sequential_refused(p):
-        # --alg all: the sequential oracle runs past its budget only when named
-        print(f"note: sequential left out: {ScanBudgetError()}", file=sys.stderr)
-        algs = tuple(a for a in algs if a is not AlgorithmId.SEQUENTIAL)
-    results = [(alg, alg.func(p)) for alg in algs]
+    results = []
+    for alg in EXACT_ALGORITHMS if args.alg == "all" else (args.alg,):
+        # --alg all leaves out a call that core would refuse; named, it refuses
+        if args.alg == "all" and isinstance(path := scan_plan(alg.value, p.e, p.n)[0], DomainError):
+            print(f"note: {alg} left out: {path}", file=sys.stderr)
+        else:
+            results.append((alg, alg.func(p)))
     if len({o.d for _, o in results}) != 1:
         print("error: algorithms disagree", file=sys.stderr)
         return 1

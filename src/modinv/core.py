@@ -219,7 +219,7 @@ RowSink = Callable[[tuple], object]
 
 # How far a literal scan may run: SCAN_PREFIX steps untraced (baghdad and
 # ffim_exact), SEQUENTIAL_BUDGET untraced (sequential), MAX_TRACE_ROWS with a
-# sink. _scan_index applies the first and last, _sequential_refused the budget.
+# sink. scan_plan alone applies them, reading each when it is called.
 SCAN_PREFIX = 1 << 12
 SEQUENTIAL_BUDGET = 1 << 24
 MAX_TRACE_ROWS = 10**6
@@ -241,50 +241,62 @@ def _scan(m: int, step: int, mod: int, cap: int, emit=None) -> int | None:
 
 
 def _scan_closed(m: int, step: int, mod: int) -> int:
-    """The index _scan(m, step, mod, mod) returns, in closed form: the first
-    j >= 1 with m + (j - 1)*step = 0 modulo mod. Each exact scan's step is a
-    unit modulo mod, which puts that j in [1, mod]:
-
-    - sequential (step e, mod n): gcd(e, n) = 1;
-    - baghdad (step n mod e, mod e): gcd(n mod e, e) = 1;
-    - ffim_exact (step e mod b, mod b = n mod e): gcd(e mod b, b) = gcd(e, n) = 1.
-
-    mod = 1 works too: pow(x, -1, 1) is 0.
-    """
+    """_scan(m, step, mod, mod) in closed form, for a step that is a unit
+    modulo mod. mod = 1 works too: pow(x, -1, 1) is 0."""
     return 1 + -m * pow(step, -1, mod) % mod
 
 
-def _scan_index(alg, limit, m, step, mod, emit) -> int:
-    """The terminating index of alg's scan _scan(m, step, mod, mod, emit),
-    literal within the limit (MAX_TRACE_ROWS with an emit). When mod exceeds
-    the limit the closed form comes first: an index past the limit is
-    returned untraced, or refused before the first row with an emit."""
-    limit = limit if emit is None else MAX_TRACE_ROWS
-    if mod > limit and (j := _scan_closed(m, step, mod)) > limit:
-        if emit is not None:
-            raise TraceTooLongError(alg, limit)
-        return j
-    j = _scan(m, step, mod, mod, emit)
-    if j is None:
-        raise InternalConsistencyError(f"{alg} scan passed {mod} steps")
+def scan_plan(alg: str, e: int, n: int, traced: bool = False) -> tuple:
+    """(path, index, m, step, mod) of alg's scan of the pair (e, n), with a
+    sink if traced: "literal" while the index is within the limit, else
+    "closed" or the refusal the call raises. The index is known once mod
+    passes the limit; ffim_exact's a = 0 is ("closed", 0, None, None, None)."""
+    # The walk (m, step, mod) stops at the first j >= 1 with m + (j - 1)*step
+    # = 0 modulo mod; step is a unit modulo mod, so j <= mod. The limit is
+    # MAX_TRACE_ROWS traced, else SEQUENTIAL_BUDGET for sequential and
+    # SCAN_PREFIX for the others.
+    if alg == "ffim_exact":
+        # the residue (i*e - a) mod b, with b = n mod e and a = (n + 1) mod e,
+        # which is b + 1 unless b + 1 = e; gcd(e mod b, b) = gcd(e, n) = 1
+        b = n % e
+        a = (b + 1) % e
+        if not a:
+            return "closed", 0, None, None, None
+        m, step, mod, limit = (e - a) % b, e % b, b, SCAN_PREFIX
+    elif alg == "baghdad":  # the residue (1 + k*n) mod e; gcd(n mod e, e) = 1
+        step, mod, limit = n % e, e, SCAN_PREFIX
+        m = (1 + step) % e
+    elif alg == "sequential":  # the residue e*d - 1 mod n; gcd(e, n) = 1
+        m, step, mod, limit = e - 1, e, n, SEQUENTIAL_BUDGET
+    else:  # a log-time loop: no walk, no limit
+        return "literal", None, None, None, None
+    limit = MAX_TRACE_ROWS if traced else limit
+    j = None if mod <= limit else _scan_closed(m, step, mod)
+    if j is None or j <= limit:
+        return "literal", j, m, step, mod
+    # past the limit a trace refuses, and so does sequential, the literal oracle
+    if traced:
+        return TraceTooLongError(alg, limit), j, m, step, mod
+    return (ScanBudgetError(limit) if alg == "sequential" else "closed"), j, m, step, mod
+
+
+def _scan_index(alg: str, e: int, n: int, emit) -> int:
+    """alg's index on (e, n), on the path scan_plan gives."""
+    path, j, m, step, mod = scan_plan(alg, e, n, emit is not None)
+    if path == "literal":
+        j = _scan(m, step, mod, mod, emit)
+        if j is None:
+            raise InternalConsistencyError(f"{alg} scan passed {mod} steps")
+    elif path != "closed":
+        raise path
     return j
-
-
-def _sequential_refused(p: ModPair) -> bool:
-    """Whether an untraced sequential scan of p would pass SEQUENTIAL_BUDGET."""
-    # the literal oracle refuses the closed form
-    return p.n > SEQUENTIAL_BUDGET and _scan_closed(p.e - 1, p.e, p.n) > SEQUENTIAL_BUDGET
 
 
 def sequential_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     """Trivial search: try d = 1, 2, 3, ... until e*d is 1 modulo n."""
     e, n = p.e, p.n
-    if sink is None and _sequential_refused(p):
-        raise ScanBudgetError()
     emit = None if sink is None else lambda d, m: sink((d, (m + 1) % n))
-    # the residue is e*d - 1 mod n; untraced, the budget is checked, so the
-    # scan runs literally to its end
-    d = _scan_index("sequential", n, e - 1, e, n, emit)
+    d = _scan_index("sequential", e, n, emit)
     # per candidate: one multiply (e*d), one reduction, one compare; d - 1
     # increments of the candidate itself
     return _outcome(p, d, d, (d - 1, 0, d, d, 0, d))
@@ -495,7 +507,6 @@ def baghdad_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
     divisibility by e instead of testing a real number for integrality.
     """
     e, n = p.e, p.n
-    step = n % e
     emit = None
     if sink is not None:
         from fractions import Fraction
@@ -503,19 +514,18 @@ def baghdad_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcome:
         emit = lambda k, m: sink(
             (Fraction(1 + k * n, e), "fraction" if m else "integer")
         )
-    # the residue is (1 + k*n) mod e
-    k = _scan_index("baghdad", SCAN_PREFIX, (1 + step) % e, step, e, emit)
+    k = _scan_index("baghdad", e, n, emit)
     # per pass: one addition of n, one division by e, one integrality test
     return _outcome(p, (1 + k * n) // e, k, (k, 0, 0, k, 0, k))
 
 
-def _ffim_outcome(p: ModPair, a: int, b: int, i: int) -> InverseOutcome:
-    """Close the fraction-integer scan at its terminating index i, checking
-    both divisions; a = 0 is already solved, with d = (n+1)/e at i = 0."""
-    e, n = p.e, p.n
-    if a == 0:
+def _ffim_outcome(p: ModPair, e: int, n: int, i: int) -> InverseOutcome:
+    """Close the fraction-integer scan of p = (e, n) at its terminating index
+    i, checking both divisions; i = 0 is a = 0, solved with d = (n+1)/e."""
+    if not i:
         return _outcome(p, (n + 1) // e, 0, (0, 0, 0, 0, 0, 0))
-    num = i * e - a
+    b = n % e
+    num = i * e - b - 1  # i*e - a: i > 0 needs a = (n + 1) mod e > 0, so a = b + 1
     if num % b:
         raise InternalConsistencyError("terminating index does not divide evenly")
     d_num = n * (num // b + 1) + 1
@@ -530,34 +540,26 @@ def ffim_exact_inverse(p: ModPair, sink: RowSink | None = None) -> InverseOutcom
     """Fraction-integer scan in exact integer arithmetic.
 
     With a = (n+1) mod e and b = n mod e, finds the smallest i >= 1 such
-    that b divides i*e - a, sets r = (i*e - a)/b, and closes with
-    d = (n*(r+1) + 1)/e. The scan tests every i in order when the
-    terminating index is within the literal limit; beyond it the index
-    comes in closed form, with the same outcome and counts, or a traced
-    run refuses.
+    that b divides i*e - a (in order, or in closed form: see scan_plan), sets
+    r = (i*e - a)/b, and closes with d = (n*(r+1) + 1)/e.
     """
     e, n = p.e, p.n
-    a = (n + 1) % e
-    b = n % e  # nonzero unless e = 1, where a = 0 too
-    if a == 0:
-        return _ffim_outcome(p, a, b, 0)
     emit = None
     if sink is not None:
         from fractions import Fraction
 
+        a, b = (n + 1) % e, n % e
         s_f, d_f = Fraction(a, e), Fraction(b, e)  # the same in every row
         emit = lambda i, m: sink((i, s_f, d_f, Fraction(i * e - a, b)))
-    # the residue is (i*e - a) mod b
-    i = _scan_index("ffim_exact", SCAN_PREFIX, (e - a) % b, e % b, b, emit)
-    return _ffim_outcome(p, a, b, i)
+    return _ffim_outcome(p, e, n, _scan_index("ffim_exact", e, n, emit))
 
 
 def ffim_closed_form(p: ModPair) -> InverseOutcome:
     """ffim_exact_inverse(p) with the terminating index always taken in closed
     form: the same outcome, counts included, in O(log n) time."""
     e, n = p.e, p.n
-    a, b = (n + 1) % e, n % e
-    return _ffim_outcome(p, a, b, _scan_closed((e - a) % b, e % b, b) if a else 0)
+    _, i, m, step, mod = scan_plan("ffim_exact", e, n)
+    return _ffim_outcome(p, e, n, _scan_closed(m, step, mod) if i is None else i)
 
 
 class AlgorithmId(enum.Enum):

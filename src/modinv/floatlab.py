@@ -17,10 +17,10 @@ from .core import (
     InternalConsistencyError,
     InverseOutcome,
     ModPair,
-    _outcome,
     _record,
     _scan_closed,
     ffim_closed_form,
+    scan_plan,
 )
 
 MAX_EXACT_FLOAT = 1 << 53  # integers below this are exact in binary64
@@ -164,7 +164,7 @@ def _float_hit(e: int, a: int, b: int, epsilon: float, i_exact: int):
     are progressions with step b. _window_returns(e, a, b, T) yields them in
     order, in O(1) memory after O(log b) seeds: about (2T - 1)*e/b indices.
     At T = 1 it is range(i_exact, e + 1, b), with no seed: probe has i_exact
-    from its exact side, ffim_float_inverse from core._scan_closed.
+    from its exact side, ffim_float_inverse from core.scan_plan.
     """
     s_f = a / e
     d_f = b / e
@@ -202,12 +202,11 @@ def ffim_float_inverse(p: ModPair, epsilon: float) -> InverseOutcome:
     _check_float_domain(p)
     _check_epsilon(epsilon)
     e, n = p.e, p.n
-    a = (n + 1) % e
-    b = n % e
-    if a == 0:
-        # exact: a = 0 means e divides n + 1
-        return _outcome(p, (n + 1) // e, 0, (0, 0, 0, 0, 0, 0))
-    hit = _float_hit(e, a, b, epsilon, _scan_closed((e - a) % b, e % b, b))
+    _, i_exact, m, step, b = scan_plan("ffim_exact", e, n)
+    if b is None:  # a = 0: e divides n + 1, solved exactly at i = 0
+        return ffim_closed_form(p)
+    a = b + 1  # (n + 1) mod e, not 0 here
+    hit = _float_hit(e, a, b, epsilon, _scan_closed(m, step, b) if i_exact is None else i_exact)
     if hit is None:
         raise MissedTermination(
             f"no index up to e = {e} looked integral at epsilon = {epsilon}"
@@ -267,14 +266,11 @@ def probe(p: ModPair, epsilon: float) -> FloatProbeResult:
     _check_float_domain(p)
     _check_epsilon(epsilon)
     exact = ffim_closed_form(p)
-    e, n = p.e, p.n
-    a = (n + 1) % e
-    if a == 0:
-        # both sides are solved at i = 0 with d = (n + 1)/e
+    e, n, i_exact = p.e, p.n, exact.iterations
+    if not i_exact:  # a = 0: both sides are solved at i = 0 with d = (n + 1)/e
         return FloatProbeResult(e, n, epsilon, exact.k, 0, exact.d, 0.0, VERDICT_AGREE)
-    b = n % e
-    i_exact = exact.iterations
-    r_f = (float(i_exact) - a / e) / (b / e)
+    a, b = (n + 1) % e, n % e
+    r_f = (i_exact - a / e) / (b / e)  # i_exact <= e < 2^53 converts exactly
     r_error = abs(r_f - round(r_f))
     hit = _float_hit(e, a, b, epsilon, i_exact)
     if hit is None:

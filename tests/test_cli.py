@@ -1003,3 +1003,25 @@ else:
     import modinv
 print(" ".join(sorted(sys.modules)))
 """
+
+
+def test_callers_take_the_sequential_budget_from_core(capsys, monkeypatch, tmp_path):
+    # at budget 10, (7, 60) has d = 43: --alg all leaves sequential out with
+    # a note, and bench refuses before its first timed call
+    monkeypatch.setattr(core, "SEQUENTIAL_BUDGET", 10)
+    code, out, err = run(capsys, "inverse", "--e", "7", "--n", "60")
+    assert code == 0
+    assert err == "note: sequential left out: sequential scan passed SEQUENTIAL_BUDGET = 10 steps\n"
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "euclid", "stein", "gordon", "baghdad", "ffim_exact"
+    ]
+    assert all(" d=43 " in line for line in out.splitlines())
+    calls = []
+    monkeypatch.setattr(AlgorithmId.EUCLID, "func", calls.append)
+    code, out, err = run(
+        capsys, "bench", "--bits", "10", "--samples", "3", "--reps", "1",
+        "--algs", "euclid,sequential", "--out", str(tmp_path / "r.csv"),
+    )
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: sequential scan passed SEQUENTIAL_BUDGET = 10 steps\n"
+    assert not (tmp_path / "r.csv").exists()

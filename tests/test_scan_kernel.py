@@ -368,3 +368,59 @@ def test_row_cap_boundary(monkeypatch, new, frozen, pair):
     with pytest.raises(TraceTooLongError, match="would exceed 50 rows"):
         new(pair(51, PRIME), rows.append)
     assert rows == []
+
+
+# ----------------------------------------------------------------------------
+# core.scan_plan against what each scan then does. The pairs stop at 50, 51,
+# SCAN_PREFIX - 1, SCAN_PREFIX and SCAN_PREFIX + 1 on moduli above every limit,
+# so each plan comes from the closed form; the row cap is patched to 50 and
+# the sequential budget to SCAN_PREFIX, so the traced and the sequential scans
+# cross their limits at these pairs too. ModPair(7, 13) is ffim_exact's a = 0.
+
+PLAN_CASES = [
+    (alg, new, frozen, pair(j, PRIME))
+    for j in (50, 51, SCAN_PREFIX - 1, SCAN_PREFIX, SCAN_PREFIX + 1)
+    for alg, (new, frozen), pair in zip(
+        ("sequential", "baghdad", "ffim_exact"), PAIRS, (sequential_pair, baghdad_pair, ffim_pair)
+    )
+] + [("ffim_exact", ffim_exact_inverse, frozen_ffim_exact, ModPair(7, 13))]
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_scan_plan_matches_each_scan(monkeypatch, traced):
+    monkeypatch.setattr(core, "MAX_TRACE_ROWS", 50)
+    monkeypatch.setattr(core, "SEQUENTIAL_BUDGET", SCAN_PREFIX)
+    runs = []
+    scan = core._scan
+
+    def recording(*args):
+        runs.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(core, "_scan", recording)
+    paths = []
+    for alg, new, frozen, p in PLAN_CASES:
+        path, index = core.scan_plan(alg, p.e, p.n, traced)[:2]
+        paths.append(path if isinstance(path, str) else type(path).__name__)
+        # the index is the frozen literal loop's, refused call or not
+        assert index == frozen(p).iterations, (alg, p)
+        runs.clear()
+        try:
+            outcome = new(p, [].append if traced else None)
+        except DomainError as refusal:
+            assert type(refusal) is type(path) and refusal.args == path.args, (alg, p)
+            assert runs == []
+        else:
+            assert isinstance(path, str), (alg, p)
+            assert outcome.iterations == index
+            assert (path == "literal") == (len(runs) == 1), (alg, p, path)
+            assert len(runs) <= 1
+    if traced:
+        assert paths == 3 * ["literal"] + 12 * ["TraceTooLongError"] + ["closed"]
+    else:
+        assert paths == 12 * ["literal"] + ["ScanBudgetError", "closed", "closed", "closed"]
+
+
+def test_scan_plan_of_a_log_time_loop_is_literal():
+    for alg in ("euclid", "stein", "gordon"):
+        assert core.scan_plan(alg, 7, 60) == ("literal", None, None, None, None)
